@@ -9,12 +9,15 @@ use crate::terminator::{classify_terminator, RvWitness};
 use std::collections::BTreeSet;
 use wlp_core::taxonomy::TerminatorClass;
 use wlp_ir::dependence::dep_graph;
+use wlp_ir::interp::{CompiledLoop, ExecPlan};
 use wlp_ir::plan::{plan, Plan, StrategyKind};
-use wlp_ir::{LoopIr, StmtKind, Subscript, WRef};
+use wlp_ir::{heads_see_inputs, refs_conflict_cross_iteration, ArrayId, LoopIr, Subscript, WRef};
 
 /// Everything the analysis produced for one loop.
 #[derive(Debug)]
 pub struct Analysis {
+    /// The analyzed body, as lowered (array names included).
+    pub body: LoopIr,
     /// The plan the pipeline produces *without* this analysis.
     pub baseline: Plan,
     /// The plan after privatization-refined dependence information.
@@ -63,6 +66,96 @@ impl Analysis {
         }
         out
     }
+
+    /// The executor this analysis licenses for `compiled`, the program
+    /// [`Self::body`] was lowered from — the one plan value the runtime
+    /// dispatches on.
+    ///
+    /// * `CertifiedSequential` → [`ExecPlan::Sequential`].
+    /// * A remainder-invariant terminator → the §5 two-pass scheme with
+    ///   PD marks only where the certificate found uncertainty: the
+    ///   `uncertain_arrays` plus every array an `uncertain_stmts`
+    ///   statement writes (a carried edge on an affine array leaves
+    ///   `uncertain_arrays` empty). A `CertifiedDoall` marks nothing and
+    ///   runs as a plain DOALL.
+    /// * A remainder-variant terminator → [`ExecPlan::Speculate`] over
+    ///   every array the body writes: the exit can depend on any write,
+    ///   so even an empty `uncertain_arrays` does not excuse the PD test.
+    ///
+    /// The terminator class is the certificate's, except that exit tests
+    /// run at the head of the iteration, before its own body: an exit
+    /// that reads only locations no *other* iteration writes (guarded
+    /// update's `exit if (A[i] > limit)` after `A[i] = g(A[i])`) sees the
+    /// inputs alone, so the two-pass scheme applies to it too.
+    ///
+    /// A privatized array is marked too when its accesses conflict
+    /// across iterations: the certificate dropped those edges assuming
+    /// per-worker copies, but pass 2 shares the machine's buffer. And
+    /// when a subscript reads a counter after the counter's update, the
+    /// subscript facts are off by one stride, so the plan falls back to
+    /// speculation.
+    ///
+    /// Marks reach the compiled loop through [`LoopIr::array_names`]; a
+    /// body without names (built by hand) marks every array instead.
+    pub fn exec_plan(&self, compiled: &CompiledLoop) -> ExecPlan {
+        let cert = &self.certificate;
+        if cert.verdict == CertVerdict::CertifiedSequential || !compiled.is_parallel() {
+            return ExecPlan::Sequential;
+        }
+        let ir = &self.body;
+        let rem = ir.remainder_view();
+        let invariant =
+            cert.terminator == TerminatorClass::RemainderInvariant || heads_see_inputs(&rem);
+        if !(invariant && compiled.subscripts_precede_updates()) {
+            return ExecPlan::Speculate;
+        }
+        let carried = |a: ArrayId| {
+            // (reference, is a write) for every access to `a`
+            let refs: Vec<(&WRef, bool)> = rem
+                .stmts
+                .iter()
+                .flat_map(|s| {
+                    let writes = s.writes.iter().map(|w| (w, true));
+                    writes.chain(s.reads.iter().map(|r| (r, false)))
+                })
+                .filter(|(r, _)| matches!(r, WRef::Element(x, _) if *x == a))
+                .collect();
+            let conflicts = |w| {
+                refs.iter()
+                    .any(|(r, _)| refs_conflict_cross_iteration(w, r))
+            };
+            refs.iter().any(|&(w, write)| write && conflicts(w))
+        };
+        let privatized = self.privatization.arrays.iter().copied();
+        let mut to_mark: Vec<ArrayId> = privatized.filter(|&a| carried(a)).collect();
+        let mut marked = vec![false; compiled.arrays().len()];
+        if cert.verdict == CertVerdict::SpeculateBounded {
+            let written = cert
+                .uncertain_stmts
+                .iter()
+                .flat_map(|&s| &ir.stmts[s].writes);
+            let uncertain = written
+                .filter_map(|w| match w {
+                    WRef::Element(a, _) => Some(*a),
+                    WRef::Scalar(_) => None,
+                })
+                .chain(cert.uncertain_arrays.iter().copied());
+            let before = to_mark.len();
+            to_mark.extend(uncertain);
+            if to_mark.len() == before {
+                // uncertainty the marks cannot place: test everything
+                marked.fill(true);
+            }
+        }
+        for a in to_mark {
+            let name = ir.array_names.get(a.0 as usize);
+            match name.and_then(|n| compiled.array_slot(n)) {
+                Some(slot) => marked[slot] = true,
+                None => marked.fill(true),
+            }
+        }
+        ExecPlan::TwoPass { marked }
+    }
 }
 
 fn describe(r: &WRef) -> String {
@@ -74,38 +167,6 @@ fn describe(r: &WRef) -> String {
         }
         WRef::Element(a, Subscript::Unknown) => format!("A{}[?]", a.0),
     }
-}
-
-/// The remainder view of a (privatization-refined) body: recurrence
-/// updates contribute nothing (their value pattern is materialized up
-/// front — closed form or parallel prefix), and accesses to the scalars
-/// they own are likewise dropped everywhere. What is left is exactly the
-/// memory traffic a parallel execution of the remainder performs.
-pub(crate) fn remainder_view(body: &LoopIr) -> LoopIr {
-    let update_vars: BTreeSet<_> = body
-        .stmts
-        .iter()
-        .filter(|s| matches!(s.kind, StmtKind::Update(_)))
-        .flat_map(|s| s.writes.iter())
-        .filter_map(|w| match w {
-            WRef::Scalar(v) => Some(*v),
-            WRef::Element(..) => None,
-        })
-        .collect();
-    let owned = |r: &WRef| matches!(r, WRef::Scalar(v) if update_vars.contains(v));
-    let mut out = LoopIr::new();
-    for s in &body.stmts {
-        let mut c = s.clone();
-        if matches!(s.kind, StmtKind::Update(_)) {
-            c.writes.clear();
-            c.reads.clear();
-        } else {
-            c.writes.retain(|r| !owned(r));
-            c.reads.retain(|r| !owned(r));
-        }
-        out.push(c);
-    }
-    out
 }
 
 /// The certificate pipeline shared by the whole-loop analysis and the
@@ -137,7 +198,7 @@ pub(crate) fn certify_core(body: &LoopIr) -> CertCore {
     // so a budget-0 certificate additionally requires that *no*
     // loop-carried edge survives anywhere in the dispatcher-censored
     // remainder, SCC boundaries notwithstanding.
-    let rem_view = remainder_view(&refined_body);
+    let rem_view = refined_body.remainder_view();
     let rem_graph = dep_graph(&rem_view);
     let carried_stmts: BTreeSet<usize> = rem_graph
         .edges
@@ -458,6 +519,7 @@ pub fn analyze(body: &LoopIr) -> Analysis {
     diagnostics.sort_by_key(|d| (d.span.map(|s| s.start), d.code));
 
     Analysis {
+        body: body.clone(),
         baseline,
         refined,
         privatization: priv_info,

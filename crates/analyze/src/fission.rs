@@ -31,7 +31,7 @@
 //! DOACROSS stage; a stage executes iteration `i` only after its
 //! predecessor stages have passed the sync points the edges dictate.
 
-use crate::analyze::{certify_core, remainder_view};
+use crate::analyze::certify_core;
 use crate::certificate::{CertVerdict, SafetyCertificate};
 use crate::privatize::{privatization, privatized_body};
 use crate::terminator::classify_terminator;
@@ -289,7 +289,7 @@ fn sync_distance(from: &wlp_ir::Stmt, to: &wlp_ir::Stmt) -> u64 {
 pub fn fission_plan(body: &LoopIr) -> FissionPlan {
     let priv_info = privatization(body);
     let refined = privatized_body(body, &priv_info);
-    let view = remainder_view(&refined);
+    let view = refined.remainder_view();
     let g = dep_graph(&view);
     let scc_count = condense(&g).len();
     let loops = distribute_with(&view, &g);

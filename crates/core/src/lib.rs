@@ -66,3 +66,7 @@ pub use strategy::{
 };
 pub use taxonomy::{classify, DispatcherClass, Parallelism, TaxonomyCell, TerminatorClass};
 pub use undo::VersionedArray;
+/// Why a speculative attempt was thrown away ([`SpecOutcome::abort`]).
+pub use wlp_obs::AbortReason;
+/// The PD-test marking every speculative executor shares.
+pub use wlp_pd::{IterMarkers, Shadow};

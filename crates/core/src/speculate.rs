@@ -26,8 +26,8 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
-use wlp_obs::{AbortReason, Event, NoopRecorder, Recorder};
-use wlp_pd::{copy_out_last_values, IterMarker, PdVerdict, Shadow, TrailSet};
+use wlp_obs::{AbortReason, CachePadded, Event, NoopRecorder, Recorder};
+use wlp_pd::{copy_out_last_values, IterMarker, IterMarkers, PdVerdict, Shadow, TrailSet};
 use wlp_runtime::{doall_dynamic, doall_dynamic_chunked, ChunkPolicy, Pool, Step};
 
 /// An undo-log budget for one speculative attempt: a cap on the number of
@@ -42,10 +42,13 @@ struct SpecBudget {
 }
 
 impl SpecBudget {
-    /// Adds `n` stamped writes to the charge counter in one RMW. Access
-    /// handles buffer their charges locally and flush on drop, so the
-    /// shared counter is touched once per *iteration*, not once per
-    /// *write* — the budget check itself stays a relaxed load.
+    /// Adds `n` stamped writes to the charge counter in one RMW. A
+    /// single-array access handle buffers its charges locally and
+    /// flushes on drop, so the shared counter is touched once per
+    /// *iteration*, not once per *write*; a group handle charges each
+    /// write of a budgeted array as it happens, keeping the per-iteration
+    /// handle free of per-array state — the budget check itself stays a
+    /// relaxed load.
     #[inline]
     fn charge_many(&self, n: u64) {
         self.stamped.fetch_add(n, Ordering::Relaxed);
@@ -657,37 +660,43 @@ where
     )
 }
 
-/// Per-iteration view of *several* arrays under test at once. Real loops
-/// usually reference more than one statically-unanalyzable array; the PD
-/// test "is applied to each shared variable referenced during the loop
-/// whose accesses cannot be analyzed at compile-time" — each array gets
+/// Per-iteration view of *several* arrays at once. Real loops usually
+/// reference more than one statically-unanalyzable array; the PD test
+/// "is applied to each shared variable referenced during the loop whose
+/// accesses cannot be analyzed at compile-time" — each marked array gets
 /// its own shadow, and the loop is valid only if every one passes.
+/// Arrays the caller left unmarked are read and written in place, with
+/// neither shadow marks nor time-stamps.
 #[derive(Debug)]
 pub struct GroupAccess<'a, T: Copy> {
     arrays: &'a [SpeculativeArray<T>],
-    markers: Vec<Option<IterMarker<'a>>>,
+    markers: IterMarkers<'a>,
     iter: usize,
-    pending_charges: Vec<u64>,
 }
 
 impl<T: Copy + Send + Sync> GroupAccess<'_, T> {
     /// Reads element `e` of array `a`.
+    #[inline]
     pub fn read(&mut self, a: usize, e: usize) -> T {
-        if let Some(m) = &mut self.markers[a] {
+        if let Some(m) = self.markers.get(a) {
             m.mark_read(e);
         }
         self.arrays[a].versioned.read(e)
     }
 
     /// Writes `v` to element `e` of array `a`.
+    #[inline]
     pub fn write(&mut self, a: usize, e: usize, v: T) {
-        match &mut self.markers[a] {
+        let arr = &self.arrays[a];
+        match self.markers.get(a) {
             Some(m) => {
                 m.mark_write(e);
-                self.pending_charges[a] += 1;
-                self.arrays[a].versioned.write(e, v, self.iter);
+                if let Some(b) = &arr.budget {
+                    b.charge_many(1);
+                }
+                arr.versioned.write(e, v, self.iter);
             }
-            None => self.arrays[a].versioned.write_direct(e, v),
+            None => arr.versioned.write_direct(e, v),
         }
     }
 
@@ -697,25 +706,31 @@ impl<T: Copy + Send + Sync> GroupAccess<'_, T> {
     }
 }
 
-impl<T: Copy> Drop for GroupAccess<'_, T> {
-    fn drop(&mut self) {
-        for (a, &n) in self.pending_charges.iter().enumerate() {
-            if n != 0 {
-                if let Some(b) = &self.arrays[a].budget {
-                    b.charge_many(n);
-                }
-            }
-        }
-    }
-}
-
-/// Speculative execution over a *group* of arrays under test: like
-/// [`speculative_while`], but every array is shadowed independently and
-/// the parallel result is kept only when all of them validate.
+/// Speculative execution over a *group* of arrays: like
+/// [`speculative_while`], but each array is handled on its own terms and
+/// the parallel result is kept only when every marked array validates.
+///
+/// * `policy` sets how many iterations one claim grants (see
+///   [`doall_dynamic_chunked`]).
+/// * `marked[a]` puts array `a` under the PD test: its accesses are
+///   shadow-marked and its writes time-stamped, so overshoot past an
+///   exit is undone and a failed attempt is rolled back. An unmarked
+///   array is one static analysis proved free of cross-iteration
+///   conflicts; it is accessed in place, unshadowed and unstamped — so
+///   it must only be left unmarked when `term` cannot quit (a known trip
+///   count), and a failed attempt leaves its writes behind.
+///
+/// This is the attempt only. On a failed test, an exception, a timeout
+/// or an exhausted budget, every marked array is restored to its
+/// checkpoint and the outcome reports the abort; re-execution is the
+/// caller's, which also owns the inputs the unmarked arrays started from.
+#[allow(clippy::too_many_arguments)] // pool, range, policy, data, marking, loop
 pub fn speculative_while_group<T, TF, BF>(
     pool: &Pool,
     upper: usize,
+    policy: ChunkPolicy,
     arrays: &[SpeculativeArray<T>],
+    marked: &[bool],
     term: TF,
     body: BF,
 ) -> SpecOutcome
@@ -724,25 +739,34 @@ where
     TF: Fn(usize, &mut GroupAccess<'_, T>) -> bool + Sync,
     BF: Fn(usize, &mut GroupAccess<'_, T>) + Sync,
 {
+    assert_eq!(marked.len(), arrays.len(), "one marking flag per array");
     let exception = AtomicBool::new(false);
-    let executed = AtomicU64::new(0);
+    // one counter per worker: a shared one would bounce between cores
+    // on every iteration
+    let executed: Vec<CachePadded<AtomicU64>> = (0..pool.size())
+        .map(|_| CachePadded::new(AtomicU64::new(0)))
+        .collect();
+    let budget_exceeded = || arrays.iter().any(|a| a.budget_exceeded());
 
-    let out = doall_dynamic(pool, upper, |i, _vpn| {
-        if arrays.iter().any(|a| a.budget_exceeded()) {
+    let out = doall_dynamic_chunked(pool, upper, policy, |i, vpn| {
+        if budget_exceeded() {
             return Step::Quit;
         }
+        let shadows = arrays
+            .iter()
+            .zip(marked)
+            .map(|(a, &m)| m.then_some(&a.shadow));
         let mut acc = GroupAccess {
             arrays,
-            markers: arrays.iter().map(|a| Some(a.shadow.iteration(i))).collect(),
+            markers: IterMarkers::new(shadows, i),
             iter: i,
-            pending_charges: vec![0; arrays.len()],
         };
         let step = catch_unwind(AssertUnwindSafe(|| {
             if term(i, &mut acc) {
                 Step::Quit
             } else {
                 body(i, &mut acc);
-                executed.fetch_add(1, Ordering::Relaxed);
+                executed[vpn].fetch_add(1, Ordering::Relaxed);
                 Step::Continue
             }
         }));
@@ -761,20 +785,20 @@ where
         Some(AbortReason::Timeout)
     } else if had_exception {
         Some(AbortReason::Exception)
-    } else if arrays.iter().any(|a| a.budget_exceeded()) {
+    } else if budget_exceeded() {
         Some(AbortReason::Budget)
     } else {
         None
     };
 
-    // every array must pass; merge the verdicts
+    // every marked array must pass; merge the verdicts
     let verdict = early_abort.is_none().then(|| {
         let mut merged = PdVerdict {
             doall: true,
             privatized_doall: true,
             conflicts: Vec::new(),
         };
-        for a in arrays {
+        for (a, _) in arrays.iter().zip(marked).filter(|(_, &m)| m) {
             let v = a.shadow.analyze(pool, last_valid, 16);
             merged.doall &= v.doall;
             merged.privatized_doall &= v.privatized_doall;
@@ -785,31 +809,17 @@ where
 
     let valid = verdict.as_ref().is_some_and(|v| v.doall);
     if !valid {
-        for a in arrays {
+        for (a, _) in arrays.iter().zip(marked).filter(|(_, &m)| m) {
             a.versioned.restore_all();
-        }
-        let mut lv = None;
-        for i in 0..upper {
-            let mut acc = GroupAccess {
-                arrays,
-                markers: arrays.iter().map(|_| None).collect(),
-                iter: i,
-                pending_charges: vec![0; arrays.len()],
-            };
-            if term(i, &mut acc) {
-                lv = Some(i);
-                break;
-            }
-            body(i, &mut acc);
         }
         return SpecOutcome {
             verdict,
             committed_parallel: false,
-            reexecuted_sequentially: true,
+            reexecuted_sequentially: false,
             exception: had_exception,
             abort: early_abort.or(Some(AbortReason::Dependence)),
-            last_valid: lv,
-            executed_parallel: executed.load(Ordering::Relaxed),
+            last_valid,
+            executed_parallel: executed.iter().map(|e| e.load(Ordering::Relaxed)).sum(),
             undone: 0,
         };
     }
@@ -825,7 +835,7 @@ where
         exception: false,
         abort: None,
         last_valid,
-        executed_parallel: executed.load(Ordering::Relaxed),
+        executed_parallel: executed.iter().map(|e| e.load(Ordering::Relaxed)).sum(),
         undone,
     }
 }
@@ -1529,7 +1539,9 @@ mod tests {
         let out = speculative_while_group(
             &pool(),
             100,
+            ChunkPolicy::One,
             &arrays,
+            &[true, true],
             |_, _| false,
             |i, g| {
                 let v = g.read(1, i);
@@ -1552,7 +1564,9 @@ mod tests {
         let out = speculative_while_group(
             &pool(),
             50,
+            ChunkPolicy::Fixed(4),
             &arrays,
+            &[true, true],
             |_, _| false,
             |i, g| {
                 g.write(0, i, 1);
@@ -1561,10 +1575,36 @@ mod tests {
             },
         );
         assert!(!out.committed_parallel);
-        assert!(out.reexecuted_sequentially);
-        // sequential semantics hold for both arrays
-        assert_eq!(arrays[1].snapshot()[0], 50);
-        assert!(arrays[0].snapshot().iter().all(|&v| v == 1));
+        assert_eq!(out.abort, Some(AbortReason::Dependence));
+        // the attempt is rolled back; re-execution is the caller's
+        assert!(!out.reexecuted_sequentially);
+        assert_eq!(arrays[1].snapshot(), vec![0]);
+        assert!(arrays[0].snapshot().iter().all(|&v| v == 0));
+    }
+
+    #[test]
+    fn group_speculation_tests_only_marked_arrays() {
+        // array 1 is a shared cell, but unmarked: the caller vouches for
+        // it, so only array 0's (clean) accesses are tested
+        let arrays = [
+            SpeculativeArray::new(vec![0i64; 64]),
+            SpeculativeArray::new(vec![0i64; 1]),
+        ];
+        let out = speculative_while_group(
+            &pool(),
+            64,
+            ChunkPolicy::Guided { min: 4 },
+            &arrays,
+            &[true, false],
+            |_, _| false,
+            |i, g| {
+                g.write(0, i, i as i64);
+                g.write(1, 0, 7);
+            },
+        );
+        assert!(out.committed_parallel, "{:?}", out.verdict);
+        assert_eq!(arrays[0].snapshot()[63], 63);
+        assert_eq!(arrays[1].snapshot(), vec![7]);
     }
 
     #[test]
@@ -1576,7 +1616,9 @@ mod tests {
         let out = speculative_while_group(
             &pool(),
             500,
+            ChunkPolicy::One,
             &arrays,
+            &[true, true],
             |i, _| i == 60,
             |i, g| {
                 g.write(0, i, 1);

@@ -8,7 +8,7 @@
 //! (loop-independent). Unknown subscripts conflict conservatively — those
 //! are the references the run-time PD test exists for.
 
-use crate::ir::{LoopIr, Subscript, WRef};
+use crate::ir::{LoopIr, StmtKind, Subscript, WRef};
 
 /// Dependence classes (Section 5 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,7 +51,7 @@ enum Overlap {
     CrossIteration,
 }
 
-fn gcd(a: i64, b: i64) -> i64 {
+fn gcd(a: i128, b: i128) -> i128 {
     if b == 0 {
         a.abs()
     } else {
@@ -72,6 +72,9 @@ fn subscript_overlap(s1: Subscript, s2: Subscript) -> Overlap {
             }
         }
         (Const(k), Affine { coeff, offset }) | (Affine { coeff, offset }, Const(k)) => {
+            // exact integer arithmetic: the differences of extreme
+            // subscripts do not fit in an i64
+            let (k, coeff, offset) = (i128::from(k), i128::from(coeff), i128::from(offset));
             if coeff == 0 {
                 if offset == k {
                     Overlap::CrossIteration
@@ -98,6 +101,12 @@ fn subscript_overlap(s1: Subscript, s2: Subscript) -> Overlap {
                 offset: o2,
             },
         ) => {
+            let (c1, o1, c2, o2) = (
+                i128::from(c1),
+                i128::from(o1),
+                i128::from(c2),
+                i128::from(o2),
+            );
             // solve c1·i − c2·j = o2 − o1
             if c1 == 0 && c2 == 0 {
                 return if o1 == o2 {
@@ -160,6 +169,22 @@ pub fn refs_may_conflict(r1: &WRef, r2: &WRef) -> bool {
 /// iterations (a loop-carried conflict).
 pub fn refs_conflict_cross_iteration(r1: &WRef, r2: &WRef) -> bool {
     refs_overlap(r1, r2) == Some(Overlap::CrossIteration)
+}
+
+/// Whether every head test of `rem` (a [`LoopIr::remainder_view`]) reads
+/// only locations no *other* iteration's body writes. Exit tests run at
+/// the head of an iteration, before its own body, so such tests see the
+/// loop's inputs alone and can all be evaluated before any body runs.
+pub fn heads_see_inputs(rem: &LoopIr) -> bool {
+    let writes: Vec<&WRef> = rem
+        .stmts
+        .iter()
+        .filter(|s| s.kind != StmtKind::ExitTest)
+        .flat_map(|s| &s.writes)
+        .collect();
+    rem.exit_tests()
+        .flat_map(|t| &rem.stmts[t].reads)
+        .all(|r| !writes.iter().any(|w| refs_conflict_cross_iteration(r, w)))
 }
 
 fn refs_overlap(r1: &WRef, r2: &WRef) -> Option<Overlap> {
@@ -500,5 +525,29 @@ mod tests {
             .edges
             .iter()
             .any(|e| e.kind == DepKind::Output && e.loop_carried));
+    }
+
+    #[test]
+    fn head_tests_see_inputs_unless_another_iteration_writes_them() {
+        let sees = |src: &str| {
+            let ir = crate::frontend::parse_loop(src).expect("valid source");
+            heads_see_inputs(&ir.remainder_view())
+        };
+        // the exit is hoisted to the head: its own iteration's store
+        // comes after it, and no other iteration writes A[i]
+        assert!(sees(
+            "integer i = 0\nwhile (i < n) {\n    A[i] = g(A[i])\n    exit if (A[i] > limit)\n    i = i + 1\n}"
+        ));
+        assert!(sees(
+            "integer i = 0\nwhile (i < n) {\n    exit if (stop[i] == 1)\n    A[i] = 7\n    i = i + 1\n}"
+        ));
+        // iteration i + 1 stores the cell iteration i's exit reads
+        assert!(!sees(
+            "integer i = 0\nwhile (i < n) {\n    A[i] = g(A[i])\n    exit if (A[i + 1] > limit)\n    i = i + 1\n}"
+        ));
+        // a scalar the body assigns is carried into the next head
+        assert!(!sees(
+            "integer i = 0\nwhile (i < n) {\n    exit if (t > 3)\n    t = A[i]\n    i = i + 1\n}"
+        ));
     }
 }

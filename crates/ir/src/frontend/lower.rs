@@ -25,7 +25,9 @@ impl std::fmt::Display for LowerError {
 }
 
 /// A linear form `Σ coeff·var + konst` with integer coefficients, or
-/// nothing when the expression is not linear/foldable.
+/// nothing when the expression is not linear/foldable. Coefficients fold
+/// with wrapping `+`/`-`/`*`, the arithmetic the interpreter evaluates
+/// with, so a folded constant is the value the program computes.
 fn linear_form(e: &Expr) -> Option<(HashMap<String, i64>, i64)> {
     match e {
         Expr::Int(v) => Some((HashMap::new(), *v)),
@@ -37,25 +39,27 @@ fn linear_form(e: &Expr) -> Option<(HashMap<String, i64>, i64)> {
         Expr::Neg(inner) => {
             let (mut m, k) = linear_form(inner)?;
             for c in m.values_mut() {
-                *c = -*c;
+                *c = c.wrapping_neg();
             }
-            Some((m, -k))
+            Some((m, k.wrapping_neg()))
         }
         Expr::Bin(BinOp::Add, a, b) => {
             let (mut ma, ka) = linear_form(a)?;
             let (mb, kb) = linear_form(b)?;
             for (v, c) in mb {
-                *ma.entry(v).or_insert(0) += c;
+                let e = ma.entry(v).or_insert(0);
+                *e = e.wrapping_add(c);
             }
-            Some((ma, ka + kb))
+            Some((ma, ka.wrapping_add(kb)))
         }
         Expr::Bin(BinOp::Sub, a, b) => {
             let (mut ma, ka) = linear_form(a)?;
             let (mb, kb) = linear_form(b)?;
             for (v, c) in mb {
-                *ma.entry(v).or_insert(0) -= c;
+                let e = ma.entry(v).or_insert(0);
+                *e = e.wrapping_sub(c);
             }
-            Some((ma, ka - kb))
+            Some((ma, ka.wrapping_sub(kb)))
         }
         Expr::Bin(BinOp::Mul, a, b) => {
             let (ma, ka) = linear_form(a)?;
@@ -65,16 +69,16 @@ fn linear_form(e: &Expr) -> Option<(HashMap<String, i64>, i64)> {
                     // constant × linear
                     let mut m = mb;
                     for c in m.values_mut() {
-                        *c *= ka;
+                        *c = c.wrapping_mul(ka);
                     }
-                    Some((m, ka * kb))
+                    Some((m, ka.wrapping_mul(kb)))
                 }
                 (_, true) => {
                     let mut m = ma;
                     for c in m.values_mut() {
-                        *c *= kb;
+                        *c = c.wrapping_mul(kb);
                     }
-                    Some((m, ka * kb))
+                    Some((m, ka.wrapping_mul(kb)))
                 }
                 _ => None, // var × var: nonlinear
             }
@@ -151,8 +155,8 @@ impl Lowerer {
             match self.inductions.get(v) {
                 Some((stride, Some(init))) => {
                     // v = init + stride·iteration (update at end of body)
-                    coeff += c * stride;
-                    offset += c * init;
+                    coeff = coeff.wrapping_add(c.wrapping_mul(*stride));
+                    offset = offset.wrapping_add(c.wrapping_mul(*init));
                 }
                 _ => return Subscript::Unknown, // unknown base or non-induction
             }
@@ -201,7 +205,8 @@ fn const_fold(e: &Expr) -> Option<i64> {
     linear_form(e).and_then(|(coeffs, k)| coeffs.values().all(|&c| c == 0).then_some(k))
 }
 
-/// Lowers a parsed program to [`LoopIr`].
+/// Lowers a parsed program to [`LoopIr`], naming its arrays in
+/// [`LoopIr::array_names`].
 pub fn lower(p: &Program) -> Result<LoopIr, LowerError> {
     let mut lw = Lowerer {
         vars: HashMap::new(),
@@ -279,6 +284,10 @@ pub fn lower(p: &Program) -> Result<LoopIr, LowerError> {
             msg: "the loop lowers to no statements".into(),
             span: p.cond_span,
         });
+    }
+    ir.array_names = vec![String::new(); lw.arrays.len()];
+    for (name, id) in lw.arrays {
+        ir.array_names[id.0 as usize] = name;
     }
     Ok(ir)
 }

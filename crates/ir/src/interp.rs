@@ -1,29 +1,53 @@
-//! An interpreter for parsed WHILE loops: the executable end of the
+//! Executors for compiled WHILE loops: the executable end of the
 //! pipeline.
 //!
-//! [`run_sequential`] gives the reference semantics of a [`Program`];
-//! [`run_parallel`] consults the [`plan`](crate::plan::plan) and — when the
-//! strategy allows — executes the loop as a speculative DOALL with every
-//! array routed through the PD test, falling back to sequential
-//! interpretation exactly like the paper's generated code would. The two
-//! entry points are guaranteed to produce identical final machines.
+//! A [`Program`] is [`compile`]d once into a [`CompiledLoop`] and run
+//! through an [`ExecPlan`]:
 //!
-//! Two canonicalizations keep the parallel semantics honest:
+//! * [`ExecPlan::Sequential`] interprets the loop in order — the
+//!   reference semantics every other executor must reproduce exactly:
+//!   final arrays and scalars, `iterations`, `exited_at` and error text.
+//! * [`ExecPlan::TwoPass`] is the paper's §5 two-pass scheme for a
+//!   remainder-invariant terminator. Pass 1 runs the head tests of every
+//!   iteration as a read-only DOALL to find the trip count; pass 2 runs
+//!   the bodies as a chunked DOALL over exactly `[0, trip)`, writing the
+//!   machine's own buffers through a relaxed-atomic view. A known trip
+//!   count cannot overshoot, so nothing is stamped or copied; only the
+//!   marked arrays are shadowed for the PD test. With none marked (a
+//!   certified DOALL) pass 2 is a plain DOALL.
+//! * [`ExecPlan::Speculate`] speculates on copies, with shadow marks,
+//!   time-stamps and undo on every array the body writes, for
+//!   terminators the body can change.
 //!
-//! * `exit if` conditions are evaluated at the **head** of each iteration
-//!   (test-then-work, the paper's canonical WHILE form);
-//! * only loops whose scalar updates are recurrences of a single known
-//!   induction variable run in parallel — anything else (pointer chases,
-//!   extra scalar state) is interpreted sequentially, mirroring the
-//!   planner's conservatism.
+//! Whatever the plan, a parallel attempt that faults (an evaluation
+//! error, a panic, a timeout) or fails its PD test is thrown away and
+//! the loop re-runs sequentially from untouched inputs — restored by the
+//! caller when the attempt wrote in place — so every result is the
+//! sequential one. [`run_sequential`] and [`run_parallel`] are
+//! compile-then-run wrappers; the latter picks its plan without a
+//! certificate, putting every array under the PD test.
+//!
+//! Semantics shared by all executors: `exit if` conditions are evaluated
+//! at the **head** of each iteration (test-then-work, the paper's
+//! canonical WHILE form), and all arithmetic wraps.
+//!
+//! Parallel plans need the loop's parallel form (see [`compile`]):
+//! counters run in closed form and private scalars live in a
+//! per-iteration frame, whose last value is copied out. A loop without
+//! one runs sequentially whatever the plan.
 
-use crate::frontend::{BinOp, Decl, Expr, Program, Stmt};
-use crate::ir::UpdateOp;
+pub use crate::compile::{compile, CompiledLoop};
+
+use crate::compile::{arith, compare, Action, Op};
+use crate::dependence::heads_see_inputs;
+use crate::frontend::{lower, Program};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use wlp_core::speculate::{speculative_while_group, GroupAccess, SpeculativeArray};
-use wlp_core::taxonomy::DispatcherClass;
-use wlp_runtime::Pool;
+use wlp_core::{AbortReason, IterMarkers, Shadow};
+use wlp_runtime::{doall_dynamic_chunked, ChunkPolicy, Pool, Step};
 
 /// A callable the loop may invoke (uninterpreted functions like `f(…)`).
 pub type HostFn = Arc<dyn Fn(&[i64]) -> i64 + Send + Sync>;
@@ -70,10 +94,6 @@ impl std::fmt::Display for ExecError {
     }
 }
 
-fn err<T>(msg: impl Into<String>) -> Result<T, ExecError> {
-    Err(ExecError { msg: msg.into() })
-}
-
 /// How a loop finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOutcome {
@@ -84,161 +104,930 @@ pub struct ExecOutcome {
     pub exited_at: Option<usize>,
     /// Whether the parallel path was actually taken (and committed).
     pub ran_parallel: bool,
+    /// Why a parallel attempt was thrown away, when one ran and was. A run
+    /// with neither `ran_parallel` nor `abort` never attempted parallel
+    /// execution (a sequential plan, or a loop without a parallel form).
+    pub abort: Option<AbortReason>,
 }
 
-/// Array view used by expression evaluation.
-trait ArrayView {
-    fn read(&mut self, name: &str, idx: i64) -> Result<i64, ExecError>;
-    fn write(&mut self, name: &str, idx: i64, v: i64) -> Result<(), ExecError>;
+/// Which executor runs a [`CompiledLoop`]; derived once per program,
+/// from its safety certificate or, without one, by [`run_parallel`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExecPlan {
+    /// Interpret in order.
+    Sequential,
+    /// The §5 two-pass scheme for a remainder-invariant terminator.
+    /// `marked[a]` puts array slot `a` under the PD test; with none
+    /// marked, pass 2 is a plain DOALL writing the machine in place.
+    TwoPass {
+        /// Per array slot of the compiled loop.
+        marked: Vec<bool>,
+    },
+    /// Speculation on copies of the arrays, with undo of overshot
+    /// iterations.
+    Speculate,
 }
 
-struct DirectView<'a> {
-    arrays: &'a mut HashMap<String, Vec<i64>>,
-}
-
-impl ArrayView for DirectView<'_> {
-    fn read(&mut self, name: &str, idx: i64) -> Result<i64, ExecError> {
-        let arr = self.arrays.get(name).ok_or_else(|| ExecError {
-            msg: format!("unknown array `{name}`"),
-        })?;
-        usize::try_from(idx)
-            .ok()
-            .and_then(|i| arr.get(i).copied())
-            .ok_or_else(|| ExecError {
-                msg: format!("`{name}[{idx}]` out of bounds"),
-            })
-    }
-
-    fn write(&mut self, name: &str, idx: i64, v: i64) -> Result<(), ExecError> {
-        let arr = self.arrays.get_mut(name).ok_or_else(|| ExecError {
-            msg: format!("unknown array `{name}`"),
-        })?;
-        let i = usize::try_from(idx)
-            .ok()
-            .filter(|&i| i < arr.len())
-            .ok_or_else(|| ExecError {
-                msg: format!("`{name}[{idx}]` out of bounds"),
-            })?;
-        arr[i] = v;
-        Ok(())
-    }
-}
-
-struct SpecView<'a, 'b> {
-    access: &'a mut GroupAccess<'b, i64>,
-    index_of: &'a HashMap<String, usize>,
-    lens: &'a HashMap<String, usize>,
-}
-
-impl ArrayView for SpecView<'_, '_> {
-    fn read(&mut self, name: &str, idx: i64) -> Result<i64, ExecError> {
-        let a = *self.index_of.get(name).ok_or_else(|| ExecError {
-            msg: format!("unknown array `{name}`"),
-        })?;
-        let i = usize::try_from(idx)
-            .ok()
-            .filter(|&i| i < self.lens[name])
-            .ok_or_else(|| ExecError {
-                msg: format!("`{name}[{idx}]` out of bounds"),
-            })?;
-        Ok(self.access.read(a, i))
-    }
-
-    fn write(&mut self, name: &str, idx: i64, v: i64) -> Result<(), ExecError> {
-        let a = *self.index_of.get(name).ok_or_else(|| ExecError {
-            msg: format!("unknown array `{name}`"),
-        })?;
-        let i = usize::try_from(idx)
-            .ok()
-            .filter(|&i| i < self.lens[name])
-            .ok_or_else(|| ExecError {
-                msg: format!("`{name}[{idx}]` out of bounds"),
-            })?;
-        self.access.write(a, i, v);
-        Ok(())
-    }
-}
-
-fn eval(
-    e: &Expr,
-    scalars: &HashMap<String, i64>,
-    funcs: &HashMap<String, HostFn>,
-    view: &mut dyn ArrayView,
-) -> Result<i64, ExecError> {
-    use crate::frontend::lexer::CmpOp;
-    Ok(match e {
-        Expr::Int(v) => *v,
-        Expr::Null => 0,
-        Expr::Var(v) => match scalars.get(v) {
-            Some(x) => *x,
-            None => return err(format!("unbound scalar `{v}`")),
-        },
-        Expr::Index(arr, sub) => {
-            let i = eval(sub, scalars, funcs, view)?;
-            view.read(arr, i)?
+impl ExecPlan {
+    /// Whether the plan puts any array under the PD test — the only kind
+    /// of parallel run a dependence can abort.
+    pub fn pd_tested(&self) -> bool {
+        match self {
+            ExecPlan::Sequential => false,
+            ExecPlan::TwoPass { marked } => marked.contains(&true),
+            ExecPlan::Speculate => true,
         }
-        Expr::Call(f, args) => {
-            let func = funcs
-                .get(f)
-                .ok_or_else(|| ExecError {
-                    msg: format!("unknown function `{f}`"),
-                })?
-                .clone();
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(a, scalars, funcs, view)?);
+    }
+}
+
+/// Why an evaluation failed; names are resolved only when reported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fault {
+    UnknownArray(u32),
+    OutOfBounds(u32, i64),
+    Unbound(u32),
+    UnknownFn(u32),
+    DivZero,
+}
+
+impl CompiledLoop {
+    fn error(&self, f: Fault) -> ExecError {
+        let msg = match f {
+            Fault::UnknownArray(a) => format!("unknown array `{}`", self.arrays[a as usize]),
+            Fault::OutOfBounds(a, i) => format!("`{}[{i}]` out of bounds", self.arrays[a as usize]),
+            Fault::Unbound(s) => format!("unbound scalar `{}`", self.scalars[s as usize]),
+            Fault::UnknownFn(f) => format!("unknown function `{}`", self.funcs[f as usize]),
+            Fault::DivZero => "division by zero".to_string(),
+        };
+        ExecError { msg }
+    }
+}
+
+/// Array storage an evaluation reads and writes.
+trait Mem {
+    fn load(&mut self, a: u32, i: i64) -> Result<i64, Fault>;
+    fn store(&mut self, a: u32, i: i64, v: i64) -> Result<(), Fault>;
+}
+
+/// One array as the executors see it: the machine's buffer behind a
+/// relaxed-atomic view (empty when the machine lacks the array).
+#[derive(Clone, Copy)]
+struct View<'a> {
+    data: &'a [AtomicI64],
+    missing: bool,
+}
+
+impl View<'_> {
+    #[inline]
+    fn fault(&self, a: u32, i: i64) -> Fault {
+        if self.missing {
+            Fault::UnknownArray(a)
+        } else {
+            Fault::OutOfBounds(a, i)
+        }
+    }
+}
+
+const _: () = assert!(
+    std::mem::size_of::<AtomicI64>() == std::mem::size_of::<i64>()
+        && std::mem::align_of::<AtomicI64>() == std::mem::align_of::<i64>()
+);
+
+/// Views a buffer as relaxed atomics, so iterations running on several
+/// workers may share it without a data race.
+fn atomic_view(v: &mut [i64]) -> &[AtomicI64] {
+    // SAFETY: `AtomicI64` has the size and alignment of `i64` (asserted
+    // above), and the exclusive borrow rules out any non-atomic access to
+    // the buffer while the view lives.
+    unsafe { &*(v as *mut [i64] as *const [AtomicI64]) }
+}
+
+/// The machine's buffers, accessed in place.
+#[derive(Clone, Copy)]
+struct Direct<'v, 'a> {
+    views: &'v [View<'a>],
+}
+
+impl Mem for Direct<'_, '_> {
+    #[inline]
+    fn load(&mut self, a: u32, i: i64) -> Result<i64, Fault> {
+        let view = &self.views[a as usize];
+        match usize::try_from(i).ok().and_then(|u| view.data.get(u)) {
+            Some(x) => Ok(x.load(Ordering::Relaxed)),
+            None => Err(view.fault(a, i)),
+        }
+    }
+
+    #[inline]
+    fn store(&mut self, a: u32, i: i64, v: i64) -> Result<(), Fault> {
+        let view = &self.views[a as usize];
+        match usize::try_from(i).ok().and_then(|u| view.data.get(u)) {
+            Some(x) => {
+                x.store(v, Ordering::Relaxed);
+                Ok(())
             }
-            func(&vals)
+            None => Err(view.fault(a, i)),
         }
-        Expr::Neg(inner) => -eval(inner, scalars, funcs, view)?,
-        Expr::Bin(op, a, b) => {
-            let (x, y) = (
-                eval(a, scalars, funcs, view)?,
-                eval(b, scalars, funcs, view)?,
-            );
-            match op {
-                BinOp::Add => x.wrapping_add(y),
-                BinOp::Sub => x.wrapping_sub(y),
-                BinOp::Mul => x.wrapping_mul(y),
-                BinOp::Div => {
-                    if y == 0 {
-                        return err("division by zero");
-                    }
-                    x.wrapping_div(y)
+    }
+}
+
+/// The machine's buffers in place, with the accesses of marked arrays
+/// recorded on one iteration's PD markers.
+struct Marked<'v, 'a, 'k, 's> {
+    views: &'v [View<'a>],
+    marks: &'k mut IterMarkers<'s>,
+}
+
+impl Mem for Marked<'_, '_, '_, '_> {
+    #[inline]
+    fn load(&mut self, a: u32, i: i64) -> Result<i64, Fault> {
+        let view = &self.views[a as usize];
+        match usize::try_from(i).ok().filter(|&u| u < view.data.len()) {
+            Some(u) => {
+                if let Some(m) = self.marks.get(a as usize) {
+                    m.mark_read(u);
+                }
+                Ok(view.data[u].load(Ordering::Relaxed))
+            }
+            None => Err(view.fault(a, i)),
+        }
+    }
+
+    #[inline]
+    fn store(&mut self, a: u32, i: i64, v: i64) -> Result<(), Fault> {
+        let view = &self.views[a as usize];
+        match usize::try_from(i).ok().filter(|&u| u < view.data.len()) {
+            Some(u) => {
+                if let Some(m) = self.marks.get(a as usize) {
+                    m.mark_write(u);
+                }
+                view.data[u].store(v, Ordering::Relaxed);
+                Ok(())
+            }
+            None => Err(view.fault(a, i)),
+        }
+    }
+}
+
+/// Speculative copies, accessed through one iteration's group handle.
+struct Spec<'g, 'h, 'a> {
+    g: &'g mut GroupAccess<'h, i64>,
+    views: &'g [View<'a>],
+}
+
+impl Mem for Spec<'_, '_, '_> {
+    #[inline]
+    fn load(&mut self, a: u32, i: i64) -> Result<i64, Fault> {
+        let view = &self.views[a as usize];
+        match usize::try_from(i).ok().filter(|&u| u < view.data.len()) {
+            Some(u) => Ok(self.g.read(a as usize, u)),
+            None => Err(view.fault(a, i)),
+        }
+    }
+
+    #[inline]
+    fn store(&mut self, a: u32, i: i64, v: i64) -> Result<(), Fault> {
+        let view = &self.views[a as usize];
+        match usize::try_from(i).ok().filter(|&u| u < view.data.len()) {
+            Some(u) => {
+                self.g.write(a as usize, u, v);
+                Ok(())
+            }
+            None => Err(view.fault(a, i)),
+        }
+    }
+}
+
+/// Scalar values by slot. `bound` is tracked only when some scalar may be
+/// read before anything binds it; covered reads never consult it.
+struct Frame<'f> {
+    vals: &'f mut [i64],
+    bound: Option<&'f mut [bool]>,
+}
+
+impl Frame<'_> {
+    #[inline]
+    fn get(&self, slot: u32, covered: bool) -> Result<i64, Fault> {
+        if !covered {
+            if let Some(b) = &self.bound {
+                if !b[slot as usize] {
+                    return Err(Fault::Unbound(slot));
                 }
             }
         }
-        Expr::Cmp(op, a, b) => {
-            let (x, y) = (
-                eval(a, scalars, funcs, view)?,
-                eval(b, scalars, funcs, view)?,
-            );
-            i64::from(match op {
-                CmpOp::Lt => x < y,
-                CmpOp::Gt => x > y,
-                CmpOp::Le => x <= y,
-                CmpOp::Ge => x >= y,
-                CmpOp::Eq => x == y,
-                CmpOp::Ne => x != y,
-            })
+        Ok(self.vals[slot as usize])
+    }
+
+    #[inline]
+    fn set(&mut self, slot: u32, v: i64) {
+        self.vals[slot as usize] = v;
+        if let Some(b) = &mut self.bound {
+            b[slot as usize] = true;
+        }
+    }
+}
+
+/// Host functions by slot (`None` when the machine lacks one).
+type Funcs<'m> = [Option<&'m HostFn>];
+
+/// Arguments up to this count are passed from the stack; longer calls
+/// (rare) collect them on the heap.
+const INLINE_ARGS: usize = 8;
+
+/// Evaluation context: the host functions and the slot where a failing
+/// evaluation leaves its fault. Keeping the fault out of the return value
+/// lets every recursive step return a register-sized `Option`.
+struct Ctx<'c, 'm> {
+    funcs: &'c Funcs<'m>,
+    fault: Cell<Option<Fault>>,
+}
+
+impl<'c, 'm> Ctx<'c, 'm> {
+    fn new(funcs: &'c Funcs<'m>) -> Self {
+        Ctx {
+            funcs,
+            fault: Cell::new(None),
+        }
+    }
+
+    #[cold]
+    fn fail(&self, f: Fault) -> Option<i64> {
+        self.fault.set(Some(f));
+        None
+    }
+
+    #[cold]
+    fn take(&self) -> Fault {
+        self.fault.take().unwrap_or(Fault::DivZero)
+    }
+
+    /// `op`'s value, or the fault that stopped it.
+    #[inline]
+    fn eval<M: Mem>(&self, op: &Op, fr: &Frame, mem: &mut M) -> Result<i64, Fault> {
+        eval(op, fr, mem, self).ok_or_else(|| self.take())
+    }
+}
+
+fn eval<M: Mem>(op: &Op, fr: &Frame, mem: &mut M, cx: &Ctx) -> Option<i64> {
+    Some(match op {
+        Op::Const(v) => *v,
+        Op::Scalar { slot, covered } => match fr.get(*slot, *covered) {
+            Ok(v) => v,
+            Err(f) => return cx.fail(f),
+        },
+        Op::Lin {
+            slot,
+            covered,
+            mul,
+            add,
+        } => match fr.get(*slot, *covered) {
+            Ok(v) => v.wrapping_mul(*mul).wrapping_add(*add),
+            Err(f) => return cx.fail(f),
+        },
+        Op::Load(a, sub) => {
+            let i = eval(sub, fr, mem, cx)?;
+            match mem.load(*a, i) {
+                Ok(v) => v,
+                Err(f) => return cx.fail(f),
+            }
+        }
+        Op::Call(f, args) => {
+            let Some(func) = cx.funcs[*f as usize] else {
+                return cx.fail(Fault::UnknownFn(*f));
+            };
+            if args.len() <= INLINE_ARGS {
+                let mut buf = [0i64; INLINE_ARGS];
+                for (slot, a) in buf.iter_mut().zip(args.iter()) {
+                    *slot = eval(a, fr, mem, cx)?;
+                }
+                func(&buf[..args.len()])
+            } else {
+                let vals = args
+                    .iter()
+                    .map(|a| eval(a, fr, mem, cx))
+                    .collect::<Option<Vec<_>>>()?;
+                func(&vals)
+            }
+        }
+        Op::Neg(inner) => eval(inner, fr, mem, cx)?.wrapping_neg(),
+        Op::Bin(op, a, b) => {
+            let x = eval(a, fr, mem, cx)?;
+            let y = eval(b, fr, mem, cx)?;
+            match arith(*op, x, y) {
+                Some(v) => v,
+                None => return cx.fail(Fault::DivZero),
+            }
+        }
+        Op::Cmp(op, a, b) => {
+            let x = eval(a, fr, mem, cx)?;
+            let y = eval(b, fr, mem, cx)?;
+            compare(*op, x, y)
         }
     })
 }
 
-fn apply_decls(p: &Program, m: &mut Machine) -> Result<(), ExecError> {
-    for Decl { name, init, .. } in &p.decls {
-        let v = match init {
-            Some(e) => {
-                let mut view = DirectView {
-                    arrays: &mut m.arrays,
-                };
-                eval(e, &m.scalars, &m.funcs, &mut view)?
+impl CompiledLoop {
+    /// The head tests of one iteration: `Ok(true)` when the loop exits.
+    #[inline]
+    fn head<M: Mem>(&self, fr: &Frame, mem: &mut M, funcs: &Funcs) -> Result<bool, Fault> {
+        let cx = Ctx::new(funcs);
+        if cx.eval(&self.cond, fr, mem)? == 0 {
+            return Ok(true);
+        }
+        for e in &self.exits {
+            if cx.eval(e, fr, mem)? != 0 {
+                return Ok(true);
             }
-            None => 0,
-        };
-        m.scalars.insert(name.clone(), v);
+        }
+        Ok(false)
     }
-    Ok(())
+
+    /// The body statements of one iteration.
+    #[inline]
+    fn body<M: Mem>(&self, fr: &mut Frame, mem: &mut M, funcs: &Funcs) -> Result<(), Fault> {
+        let cx = Ctx::new(funcs);
+        for action in &self.body {
+            match action {
+                Action::Set(slot, op) => {
+                    let v = cx.eval(op, fr, mem)?;
+                    fr.set(*slot, v);
+                }
+                Action::Count {
+                    slot,
+                    stride,
+                    covered,
+                } => {
+                    let v = fr.get(*slot, *covered)?.wrapping_add(*stride);
+                    fr.set(*slot, v);
+                }
+                Action::Store(a, sub, rhs) => {
+                    let i = cx.eval(sub, fr, mem)?;
+                    let v = cx.eval(rhs, fr, mem)?;
+                    mem.store(*a, i, v)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A machine bound to a compiled loop for one run: array views and host
+/// functions resolved by slot, scalars loaded into a frame.
+struct Bound<'m> {
+    views: Vec<View<'m>>,
+    funcs: Vec<Option<&'m HostFn>>,
+    vals: Vec<i64>,
+    bound: Vec<bool>,
+}
+
+impl CompiledLoop {
+    fn bind<'m>(
+        &self,
+        arrays: &'m mut HashMap<String, Vec<i64>>,
+        scalars: &HashMap<String, i64>,
+        funcs: &'m HashMap<String, HostFn>,
+    ) -> Bound<'m> {
+        let mut views = vec![
+            View {
+                data: &[],
+                missing: true,
+            };
+            self.arrays.len()
+        ];
+        for (name, data) in arrays.iter_mut() {
+            if let Some(a) = self.array_slot(name) {
+                views[a] = View {
+                    data: atomic_view(data),
+                    missing: false,
+                };
+            }
+        }
+        let scalar = |name: &String| scalars.get(name).copied();
+        Bound {
+            views,
+            funcs: self.funcs.iter().map(|f| funcs.get(f)).collect(),
+            vals: self
+                .scalars
+                .iter()
+                .map(|n| scalar(n).unwrap_or(0))
+                .collect(),
+            bound: self.scalars.iter().map(|n| scalar(n).is_some()).collect(),
+        }
+    }
+
+    /// Evaluates the declarations into the frame, in order.
+    fn apply_decls(&self, b: &mut Bound) -> Result<(), Fault> {
+        let mut fr = Frame {
+            vals: &mut b.vals,
+            bound: Some(&mut b.bound),
+        };
+        let mut mem = Direct { views: &b.views };
+        for (slot, init) in &self.decls {
+            let v = match init {
+                Some(e) => Ctx::new(&b.funcs).eval(e, &fr, &mut mem)?,
+                None => 0,
+            };
+            fr.set(*slot, v);
+        }
+        Ok(())
+    }
+
+    /// Writes every bound scalar slot back into `scalars`.
+    fn store_scalars(&self, scalars: &mut HashMap<String, i64>, vals: &[i64], bound: &[bool]) {
+        for (s, name) in self.scalars.iter().enumerate() {
+            if !bound[s] {
+                continue;
+            }
+            match scalars.get_mut(name) {
+                Some(v) => *v = vals[s],
+                None => {
+                    scalars.insert(name.clone(), vals[s]);
+                }
+            }
+        }
+    }
+
+    /// Interprets the loop in order against `machine`, updated in place;
+    /// `max_iters` bounds runaway loops. The reference semantics.
+    pub fn run_sequential(
+        &self,
+        machine: &mut Machine,
+        max_iters: usize,
+    ) -> Result<ExecOutcome, ExecError> {
+        let Machine {
+            arrays,
+            scalars,
+            funcs,
+        } = machine;
+        let mut b = self.bind(arrays, scalars, funcs);
+        let result = self.apply_decls(&mut b).and_then(|()| {
+            // bound-checking is needed only while some scalar is unbound
+            let checked = b.bound.contains(&false);
+            let mut fr = Frame {
+                vals: &mut b.vals,
+                bound: checked.then_some(&mut b.bound[..]),
+            };
+            let mut mem = Direct { views: &b.views };
+            for i in 0..max_iters {
+                if self.head(&fr, &mut mem, &b.funcs)? {
+                    return Ok((i, Some(i)));
+                }
+                self.body(&mut fr, &mut mem, &b.funcs)?;
+            }
+            Ok((max_iters, None))
+        });
+        self.store_scalars(scalars, &b.vals, &b.bound);
+        match result {
+            Ok((iterations, exited_at)) => Ok(ExecOutcome {
+                iterations,
+                exited_at,
+                ran_parallel: false,
+                abort: None,
+            }),
+            Err(f) => Err(self.error(f)),
+        }
+    }
+
+    /// Runs the loop through `plan` against `machine`, updated in place.
+    ///
+    /// `restore` puts the run's input arrays back into a machine. A
+    /// [`ExecPlan::TwoPass`] attempt writes the machine in place, so when
+    /// its pass 2 faults or fails the PD test, `restore` runs before the
+    /// sequential re-run; speculation works on copies and leaves the
+    /// machine untouched until it commits.
+    pub fn run(
+        &self,
+        plan: &ExecPlan,
+        machine: &mut Machine,
+        pool: &Pool,
+        max_iters: usize,
+        restore: &dyn Fn(&mut Machine),
+    ) -> Result<ExecOutcome, ExecError> {
+        let attempt = match plan {
+            ExecPlan::Sequential => Attempt::NotTried,
+            _ if !self.is_parallel() => Attempt::NotTried,
+            ExecPlan::TwoPass { marked } => self.two_pass(marked, machine, pool, max_iters),
+            ExecPlan::Speculate => self.speculate(machine, pool, max_iters),
+        };
+        match attempt {
+            Attempt::Committed(out) => Ok(out),
+            Attempt::NotTried => self.run_sequential(machine, max_iters),
+            Attempt::Aborted { reason, in_place } => {
+                if in_place {
+                    restore(machine);
+                }
+                let out = self.run_sequential(machine, max_iters)?;
+                Ok(ExecOutcome {
+                    abort: Some(reason),
+                    ..out
+                })
+            }
+        }
+    }
+}
+
+/// The result of one parallel attempt.
+enum Attempt {
+    /// The parallel result stands; the machine holds it.
+    Committed(ExecOutcome),
+    /// No parallel attempt was made.
+    NotTried,
+    /// The attempt was thrown away. `in_place`: it wrote the machine's
+    /// buffers, which must be restored before the sequential re-run.
+    Aborted { reason: AbortReason, in_place: bool },
+}
+
+thread_local! {
+    /// Each worker's scalar frame, reused across iterations and runs.
+    static FRAME: RefCell<Vec<i64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// How many iterations one claim grants while the exit is unknown
+/// (pass 1, speculation): small enough that the workers share the valid
+/// iterations instead of one of them drawing them all in a first grant.
+const SEARCH: ChunkPolicy = ChunkPolicy::Fixed(32);
+
+/// How many iterations one claim grants over a known range (pass 2).
+const RANGE: ChunkPolicy = ChunkPolicy::Guided { min: 16 };
+
+/// The most per-iteration private values a speculative run buffers (the
+/// copy-out of an exit found only after the fact); longer runs of loops
+/// with private scalars are not speculated.
+const MAX_CAPTURE: usize = 1 << 20;
+
+/// What every parallel iteration starts from: the scalars after the
+/// declarations, and the counters' closed forms.
+struct Start<'c> {
+    vals: &'c [i64],
+    counters: &'c [(u32, i64)],
+}
+
+impl Start<'_> {
+    /// Runs `f` on iteration `i`'s frame (this worker's, reinitialized).
+    #[inline]
+    fn frame<R>(&self, i: usize, f: impl FnOnce(&mut Frame) -> R) -> R {
+        FRAME.with_borrow_mut(|vals| {
+            vals.clear();
+            vals.extend_from_slice(self.vals);
+            let k = i as i64;
+            for &(slot, stride) in self.counters {
+                let s = slot as usize;
+                vals[s] = self.vals[s].wrapping_add(stride.wrapping_mul(k));
+            }
+            f(&mut Frame { vals, bound: None })
+        })
+    }
+
+    /// The scalars after `trip` iterations, given the privates' values
+    /// in the last one.
+    fn finish(&self, trip: usize, privates: &[u32], last: &[i64], bound: &mut [bool]) -> Vec<i64> {
+        let mut vals = self.vals.to_vec();
+        for &(slot, stride) in self.counters {
+            let s = slot as usize;
+            vals[s] = vals[s].wrapping_add(stride.wrapping_mul(trip as i64));
+        }
+        if trip > 0 {
+            for (&slot, &v) in privates.iter().zip(last) {
+                vals[slot as usize] = v;
+                bound[slot as usize] = true;
+            }
+        }
+        vals
+    }
+}
+
+impl CompiledLoop {
+    /// Binds the machine and evaluates the declarations; `None` when the
+    /// run cannot go parallel (a declaration fails, or a scalar other
+    /// than a private could be read unbound) — the sequential run then
+    /// reproduces whatever happens.
+    fn parallel_start<'m>(
+        &self,
+        arrays: &'m mut HashMap<String, Vec<i64>>,
+        scalars: &HashMap<String, i64>,
+        funcs: &'m HashMap<String, HostFn>,
+    ) -> Option<Bound<'m>> {
+        let mut b = self.bind(arrays, scalars, funcs);
+        self.apply_decls(&mut b).ok()?;
+        let unbound_ok = |s: usize| b.bound[s] || self.privates.contains(&(s as u32));
+        (0..self.scalars.len()).all(unbound_ok).then_some(b)
+    }
+
+    /// `op` at iteration `k` as the exact line `c₀ + d·k`, when `op` is a
+    /// constant or a linear form of a counter or loop invariant and its
+    /// wrapping evaluation cannot wrap for any `k ≤ last`.
+    fn line(&self, op: &Op, start: &[i64], last: usize) -> Option<(i128, i128)> {
+        let (slot, mul, add) = match *op {
+            Op::Const(v) => return Some((i128::from(v), 0)),
+            Op::Scalar { slot, .. } => (slot, 1, 0),
+            Op::Lin { slot, mul, add, .. } => (slot, mul, add),
+            _ => return None,
+        };
+        let stride = self
+            .counters
+            .iter()
+            .find(|c| c.0 == slot)
+            .map_or(0, |c| c.1);
+        let (x0, s, m, a) = (
+            i128::from(start[slot as usize]),
+            i128::from(stride),
+            i128::from(mul),
+            i128::from(add),
+        );
+        // linear in k: no step wraps anywhere if none wraps at the ends
+        let fits = |v: i128| i64::try_from(v).is_ok();
+        for k in [0, last as i128] {
+            // s·k itself can exceed i128 for a huge `last`
+            let x = s.checked_mul(k)?.checked_add(x0)?;
+            if !(fits(x) && fits(m * x) && fits(m * x + a)) {
+                return None;
+            }
+        }
+        Some((m * x0 + a, m * s))
+    }
+
+    /// The trip count in closed form, when the only head test compares
+    /// two such lines: the first iteration whose comparison fails.
+    fn closed_trip(&self, start: &[i64], max_iters: usize) -> Option<(usize, Option<usize>)> {
+        use crate::frontend::lexer::CmpOp;
+        let Op::Cmp(op, a, b) = &self.cond else {
+            return None;
+        };
+        if !self.exits.is_empty() {
+            return None;
+        }
+        let (a0, da) = self.line(a, start, max_iters)?;
+        let (b0, db) = self.line(b, start, max_iters)?;
+        // the loop runs while D(k) = d0 + d·k satisfies `op` against 0
+        let (d0, d) = (a0 - b0, da - db);
+        // first k ≥ 0 with c + e·k ≥ 0, i.e. where `c + e·k < 0` fails
+        let first_nonneg = |c: i128, e: i128| match (c >= 0, e > 0) {
+            (true, _) => Some(0),
+            (false, false) => None,
+            (false, true) => Some((-c + e - 1) / e),
+        };
+        let exit = match op {
+            CmpOp::Lt => first_nonneg(d0, d),
+            CmpOp::Le => first_nonneg(d0 - 1, d),
+            CmpOp::Gt => first_nonneg(-d0, -d),
+            CmpOp::Ge => first_nonneg(-d0 - 1, -d),
+            CmpOp::Ne if d == 0 => (d0 == 0).then_some(0),
+            CmpOp::Ne => ((-d0) % d == 0 && -d0 / d >= 0).then(|| -d0 / d),
+            CmpOp::Eq if d0 != 0 => Some(0),
+            CmpOp::Eq => (d != 0).then_some(1),
+        };
+        Some(match exit {
+            Some(k) if k < max_iters as i128 => (k as usize, Some(k as usize)),
+            _ => (max_iters, None),
+        })
+    }
+
+    /// Pass 1 of the two-pass scheme: the head tests of every iteration,
+    /// read-only, as a DOALL — or, for a lone comparison of counters and
+    /// invariants, the closed form. Returns the trip count and whether
+    /// the loop exited, or the abort when the pass faulted or the exit
+    /// itself faults.
+    fn trip_count(
+        &self,
+        pool: &Pool,
+        max_iters: usize,
+        start: &Start,
+        b: &Bound,
+    ) -> Result<(usize, Option<usize>), AbortReason> {
+        if let Some(trip) = self.closed_trip(start.vals, max_iters) {
+            return Ok(trip);
+        }
+        let first_error = AtomicUsize::new(usize::MAX);
+        let pass1 = doall_dynamic_chunked(pool, max_iters, SEARCH, |i, _| {
+            start.frame(i, |fr| {
+                let mut mem = Direct { views: &b.views };
+                match self.head(fr, &mut mem, &b.funcs) {
+                    Ok(false) => Step::Continue,
+                    Ok(true) => Step::Quit,
+                    Err(_) => {
+                        first_error.fetch_min(i, Ordering::Relaxed);
+                        Step::Quit
+                    }
+                }
+            })
+        });
+        if pass1.timeout.is_some() {
+            return Err(AbortReason::Timeout);
+        }
+        // an error at the exit iteration is real; later ones are overshoot
+        if pass1.panic.is_some() || pass1.quit == Some(first_error.into_inner()) {
+            return Err(AbortReason::Exception);
+        }
+        Ok((pass1.quit.unwrap_or(max_iters), pass1.quit))
+    }
+
+    fn two_pass(
+        &self,
+        marked: &[bool],
+        machine: &mut Machine,
+        pool: &Pool,
+        max_iters: usize,
+    ) -> Attempt {
+        let Machine {
+            arrays,
+            scalars,
+            funcs,
+        } = machine;
+        let Some(mut b) = self.parallel_start(arrays, scalars, funcs) else {
+            return Attempt::NotTried;
+        };
+        let start_vals = b.vals.clone();
+        let start = Start {
+            vals: &start_vals,
+            counters: &self.counters,
+        };
+        let (trip, exited_at) = match self.trip_count(pool, max_iters, &start, &b) {
+            Ok(t) => t,
+            Err(reason) => {
+                return Attempt::Aborted {
+                    reason,
+                    in_place: false,
+                }
+            }
+        };
+
+        // pass 2: the bodies of exactly [0, trip), writing in place; the
+        // marked arrays' accesses are shadowed for the PD test
+        let shadows: Vec<Option<Shadow>> = b
+            .views
+            .iter()
+            .zip(marked)
+            .map(|(v, &m)| m.then(|| Shadow::new(v.data.len())))
+            .collect();
+        let tested = shadows.iter().any(Option::is_some);
+        let last = parking_lot::Mutex::new(Vec::new());
+        let faulted = AtomicBool::new(false);
+        let pass2 = doall_dynamic_chunked(pool, trip, RANGE, |i, _| {
+            start.frame(i, |fr| {
+                let ran = if tested {
+                    let mut marks = IterMarkers::new(shadows.iter().map(Option::as_ref), i);
+                    let mut mem = Marked {
+                        views: &b.views,
+                        marks: &mut marks,
+                    };
+                    self.body(fr, &mut mem, &b.funcs)
+                } else {
+                    self.body(fr, &mut Direct { views: &b.views }, &b.funcs)
+                };
+                if ran.is_err() {
+                    faulted.store(true, Ordering::Relaxed);
+                    return Step::Quit;
+                }
+                if i + 1 == trip && !self.privates.is_empty() {
+                    *last.lock() = self.privates.iter().map(|&s| fr.vals[s as usize]).collect();
+                }
+                Step::Continue
+            })
+        });
+        let reason = if pass2.timeout.is_some() {
+            Some(AbortReason::Timeout)
+        } else if pass2.panic.is_some() || faulted.into_inner() {
+            Some(AbortReason::Exception)
+        } else if shadows
+            .iter()
+            .flatten()
+            .any(|s| !s.analyze(pool, None, 16).doall)
+        {
+            Some(AbortReason::Dependence)
+        } else {
+            None
+        };
+        if let Some(reason) = reason {
+            return Attempt::Aborted {
+                reason,
+                in_place: true,
+            };
+        }
+        let vals = start.finish(trip, &self.privates, &last.into_inner(), &mut b.bound);
+        self.store_scalars(scalars, &vals, &b.bound);
+        Attempt::Committed(ExecOutcome {
+            iterations: trip,
+            exited_at,
+            ran_parallel: true,
+            abort: None,
+        })
+    }
+
+    fn speculate(&self, machine: &mut Machine, pool: &Pool, max_iters: usize) -> Attempt {
+        let np = self.privates.len();
+        if np > 0 && max_iters.saturating_mul(np) > MAX_CAPTURE {
+            return Attempt::NotTried;
+        }
+        let Machine {
+            arrays,
+            scalars,
+            funcs,
+        } = machine;
+        let Some(mut b) = self.parallel_start(arrays, scalars, funcs) else {
+            return Attempt::NotTried;
+        };
+        let start_vals = b.vals.clone();
+        let start = Start {
+            vals: &start_vals,
+            counters: &self.counters,
+        };
+        let spec: Vec<SpeculativeArray<i64>> = b
+            .views
+            .iter()
+            .map(|v| {
+                SpeculativeArray::new(v.data.iter().map(|x| x.load(Ordering::Relaxed)).collect())
+            })
+            .collect();
+        // arrays the body only reads cannot conflict: no marks, no stamps
+        let marked = &self.written;
+        // private values of every iteration: the exit is known only after
+        let captured: Vec<AtomicI64> = (0..max_iters * np).map(|_| AtomicI64::new(0)).collect();
+        let (head_error, body_error) = (AtomicUsize::new(usize::MAX), AtomicUsize::new(usize::MAX));
+        let out = speculative_while_group(
+            pool,
+            max_iters,
+            SEARCH,
+            &spec,
+            marked,
+            |i, g| {
+                start.frame(i, |fr| {
+                    let mut mem = Spec { g, views: &b.views };
+                    self.head(fr, &mut mem, &b.funcs).unwrap_or_else(|_| {
+                        head_error.fetch_min(i, Ordering::Relaxed);
+                        true
+                    })
+                })
+            },
+            |i, g| {
+                start.frame(i, |fr| {
+                    let mut mem = Spec { g, views: &b.views };
+                    match self.body(fr, &mut mem, &b.funcs) {
+                        Ok(()) => {
+                            for (k, &s) in self.privates.iter().enumerate() {
+                                captured[i * np + k].store(fr.vals[s as usize], Ordering::Relaxed);
+                            }
+                        }
+                        Err(_) => {
+                            body_error.fetch_min(i, Ordering::Relaxed);
+                        }
+                    }
+                })
+            },
+        );
+        if let Some(reason) = out.abort {
+            return Attempt::Aborted {
+                reason,
+                in_place: false,
+            };
+        }
+        // errors below the exit (or at its head test) are real; the
+        // sequential re-run reports the first of them
+        let trip = out.last_valid.unwrap_or(max_iters);
+        if body_error.into_inner() < trip || out.last_valid == Some(head_error.into_inner()) {
+            return Attempt::Aborted {
+                reason: AbortReason::Exception,
+                in_place: false,
+            };
+        }
+        for (a, arr) in spec.iter().enumerate() {
+            if self.written[a] && !b.views[a].missing {
+                for (x, v) in b.views[a].data.iter().zip(arr.snapshot()) {
+                    x.store(v, Ordering::Relaxed);
+                }
+            }
+        }
+        let last: Vec<i64> = match trip.checked_sub(1) {
+            Some(l) => (0..np)
+                .map(|k| captured[l * np + k].load(Ordering::Relaxed))
+                .collect(),
+            None => Vec::new(),
+        };
+        let vals = start.finish(trip, &self.privates, &last, &mut b.bound);
+        self.store_scalars(scalars, &vals, &b.bound);
+        Attempt::Committed(ExecOutcome {
+            iterations: trip,
+            exited_at: out.last_valid,
+            ran_parallel: true,
+            abort: None,
+        })
+    }
+
+    /// The plan a run without a certificate uses: every array under the
+    /// PD test — two-pass when the head tests see only the inputs
+    /// (`heads_see_inputs`, by [`crate::heads_see_inputs`]) and no
+    /// subscript reads a counter after its update, full speculation
+    /// otherwise.
+    fn uncertified_plan(&self, heads_see_inputs: bool) -> ExecPlan {
+        if !self.is_parallel() {
+            ExecPlan::Sequential
+        } else if heads_see_inputs && self.subscripts_precede_updates() {
+            ExecPlan::TwoPass {
+                marked: vec![true; self.arrays.len()],
+            }
+        } else {
+            ExecPlan::Speculate
+        }
+    }
 }
 
 /// Interprets the loop sequentially against `machine` (which is updated in
@@ -248,263 +1037,39 @@ pub fn run_sequential(
     machine: &mut Machine,
     max_iters: usize,
 ) -> Result<ExecOutcome, ExecError> {
-    apply_decls(p, machine)?;
-    let mut iterations = 0usize;
-    for i in 0..max_iters {
-        let cont = {
-            let mut view = DirectView {
-                arrays: &mut machine.arrays,
-            };
-            eval(&p.cond, &machine.scalars, &machine.funcs, &mut view)?
-        };
-        if cont == 0 {
-            return Ok(ExecOutcome {
-                iterations,
-                exited_at: Some(i),
-                ran_parallel: false,
-            });
-        }
-        // canonical test-then-work: all exit tests at the iteration head
-        for st in &p.body {
-            if let Stmt::ExitIf(c) = st {
-                let mut view = DirectView {
-                    arrays: &mut machine.arrays,
-                };
-                if eval(c, &machine.scalars, &machine.funcs, &mut view)? != 0 {
-                    return Ok(ExecOutcome {
-                        iterations,
-                        exited_at: Some(i),
-                        ran_parallel: false,
-                    });
-                }
-            }
-        }
-        for st in &p.body {
-            match st {
-                Stmt::ExitIf(_) => {}
-                Stmt::AssignVar(name, rhs) => {
-                    let v = {
-                        let mut view = DirectView {
-                            arrays: &mut machine.arrays,
-                        };
-                        eval(rhs, &machine.scalars, &machine.funcs, &mut view)?
-                    };
-                    machine.scalars.insert(name.clone(), v);
-                }
-                Stmt::AssignElem(arr, sub, rhs) => {
-                    let mut view = DirectView {
-                        arrays: &mut machine.arrays,
-                    };
-                    let i = eval(sub, &machine.scalars, &machine.funcs, &mut view)?;
-                    let v = eval(rhs, &machine.scalars, &machine.funcs, &mut view)?;
-                    view.write(arr, i, v)?;
-                }
-            }
-        }
-        iterations += 1;
-    }
-    Ok(ExecOutcome {
-        iterations,
-        exited_at: None,
-        ran_parallel: false,
-    })
+    compile(p).run_sequential(machine, max_iters)
 }
 
-/// The single induction variable a parallel interpretation needs:
-/// `(name, stride, init)`. `None` when the loop does not qualify.
-fn parallel_induction(p: &Program) -> Option<(String, i64, i64)> {
-    let ir = crate::frontend::lower(p).ok()?;
-    let plan = crate::plan::plan(&ir);
-    if plan.dispatcher != DispatcherClass::MonotonicInduction {
-        return None;
-    }
-    // every scalar assignment must be the induction update itself
-    let mut found: Option<(String, i64)> = None;
-    for st in &p.body {
-        if let Stmt::AssignVar(name, rhs) = st {
-            let shape = {
-                // reuse the recurrence matcher by lowering the single
-                // statement in isolation
-                let tmp = Program {
-                    decls: vec![],
-                    cond: Expr::Int(1),
-                    cond_span: crate::span::Span::default(),
-                    body: vec![Stmt::AssignVar(name.clone(), rhs.clone())],
-                    stmt_spans: vec![],
-                };
-                let ir = crate::frontend::lower(&tmp).ok()?;
-                match ir.stmts.last()?.kind {
-                    crate::ir::StmtKind::Update(op) => Some(op),
-                    _ => None,
-                }
-            };
-            match shape {
-                Some(UpdateOp::AddConst) if found.is_none() => {
-                    // stride from the linear form: rhs = name + stride
-                    let stride = stride_of(name, rhs)?;
-                    found = Some((name.clone(), stride));
-                }
-                _ => return None, // extra scalar state: not a DOALL candidate
-            }
-        }
-    }
-    let (name, stride) = found?;
-    let init = p.decls.iter().find(|d| d.name == name)?.init.as_ref()?;
-    let init = const_eval(init)?;
-    Some((name, stride, init))
-}
-
-fn stride_of(name: &str, rhs: &Expr) -> Option<i64> {
-    // rhs is known AddConst: evaluate rhs with name := 0 and no other vars
-    fn go(e: &Expr, name: &str) -> Option<i64> {
-        match e {
-            Expr::Int(v) => Some(*v),
-            Expr::Var(v) if v == name => Some(0),
-            Expr::Neg(i) => Some(-go(i, name)?),
-            Expr::Bin(BinOp::Add, a, b) => Some(go(a, name)? + go(b, name)?),
-            Expr::Bin(BinOp::Sub, a, b) => Some(go(a, name)? - go(b, name)?),
-            Expr::Bin(BinOp::Mul, a, b) => Some(go(a, name)? * go(b, name)?),
-            _ => None,
-        }
-    }
-    go(rhs, name)
-}
-
-fn const_eval(e: &Expr) -> Option<i64> {
-    match e {
-        Expr::Int(v) => Some(*v),
-        Expr::Neg(i) => Some(-const_eval(i)?),
-        Expr::Bin(op, a, b) => {
-            let (x, y) = (const_eval(a)?, const_eval(b)?);
-            Some(match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x.checked_div(y)?,
-            })
-        }
-        _ => None,
-    }
-}
-
-/// Interprets the loop through the planned parallel strategy: a
-/// speculative DOALL with every array under the PD test. Loops the plan
-/// cannot parallelize (general dispatchers, provable recurrences, extra
-/// scalar state) fall back to [`run_sequential`] — either way, the final
-/// machine equals the sequential semantics.
+/// Runs the loop in parallel without a certificate: every array goes
+/// under the PD test, and anything the parallel attempt cannot vouch for
+/// re-runs sequentially — either way, the final machine equals the
+/// sequential semantics.
 pub fn run_parallel(
     p: &Program,
     machine: &mut Machine,
     pool: &Pool,
     max_iters: usize,
 ) -> Result<ExecOutcome, ExecError> {
-    let Some((ivar, stride, init)) = parallel_induction(p) else {
-        return run_sequential(p, machine, max_iters);
+    let compiled = compile(p);
+    let invariant = lower(p).is_ok_and(|ir| heads_see_inputs(&ir.remainder_view()));
+    let plan = compiled.uncertified_plan(invariant);
+    // a two-pass attempt writes in place: keep what it may overwrite
+    let saved: Vec<(String, Vec<i64>)> = match plan {
+        ExecPlan::TwoPass { .. } => compiled
+            .arrays
+            .iter()
+            .zip(&compiled.written)
+            .filter(|(_, &w)| w)
+            .filter_map(|(n, _)| Some((n.clone(), machine.arrays.get(n)?.clone())))
+            .collect(),
+        _ => Vec::new(),
     };
-    apply_decls(p, machine)?;
-
-    // order arrays and wrap them for speculation
-    let names: Vec<String> = {
-        let mut v: Vec<String> = machine.arrays.keys().cloned().collect();
-        v.sort();
-        v
+    let restore = |m: &mut Machine| {
+        for (name, data) in &saved {
+            m.arrays.insert(name.clone(), data.clone());
+        }
     };
-    let index_of: HashMap<String, usize> = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.clone(), i))
-        .collect();
-    let lens: HashMap<String, usize> = names
-        .iter()
-        .map(|n| (n.clone(), machine.arrays[n].len()))
-        .collect();
-    let spec: Vec<SpeculativeArray<i64>> = names
-        .iter()
-        .map(|n| SpeculativeArray::new(machine.arrays[n].clone()))
-        .collect();
-
-    let base_scalars = machine.scalars.clone();
-    let funcs = machine.funcs.clone();
-    let fail: parking_lot::Mutex<Option<ExecError>> = parking_lot::Mutex::new(None);
-
-    let bind = |i: usize| {
-        let mut s = base_scalars.clone();
-        s.insert(ivar.clone(), init + stride * i as i64);
-        s
-    };
-
-    let out = speculative_while_group(
-        pool,
-        max_iters,
-        &spec,
-        |i, g| {
-            let scalars = bind(i);
-            let mut view = SpecView {
-                access: g,
-                index_of: &index_of,
-                lens: &lens,
-            };
-            // while-condition failing, or any (head-hoisted) exit-if firing
-            match eval(&p.cond, &scalars, &funcs, &mut view) {
-                Ok(0) => return true,
-                Ok(_) => {}
-                Err(e) => {
-                    fail.lock().get_or_insert(e);
-                    return true;
-                }
-            }
-            for st in &p.body {
-                if let Stmt::ExitIf(c) = st {
-                    match eval(c, &scalars, &funcs, &mut view) {
-                        Ok(v) if v != 0 => return true,
-                        Ok(_) => {}
-                        Err(e) => {
-                            fail.lock().get_or_insert(e);
-                            return true;
-                        }
-                    }
-                }
-            }
-            false
-        },
-        |i, g| {
-            let scalars = bind(i);
-            let mut view = SpecView {
-                access: g,
-                index_of: &index_of,
-                lens: &lens,
-            };
-            for st in &p.body {
-                if let Stmt::AssignElem(arr, sub, rhs) = st {
-                    let r = eval(sub, &scalars, &funcs, &mut view).and_then(|idx| {
-                        let v = eval(rhs, &scalars, &funcs, &mut view)?;
-                        view.write(arr, idx, v)
-                    });
-                    if let Err(e) = r {
-                        fail.lock().get_or_insert(e);
-                        return;
-                    }
-                }
-            }
-        },
-    );
-
-    if let Some(e) = fail.into_inner() {
-        return Err(e);
-    }
-
-    // copy arrays back and advance the induction variable to its final value
-    for (n, arr) in names.iter().zip(&spec) {
-        machine.arrays.insert(n.clone(), arr.snapshot());
-    }
-    let end = out.last_valid.unwrap_or(max_iters);
-    machine.scalars.insert(ivar, init + stride * end as i64);
-
-    Ok(ExecOutcome {
-        iterations: end,
-        exited_at: out.last_valid,
-        ran_parallel: out.committed_parallel,
-    })
+    compiled.run(&plan, machine, pool, max_iters, &restore)
 }
 
 #[cfg(test)]
@@ -593,6 +1158,7 @@ mod tests {
         let mut par = build();
         let out = run_parallel(&p, &mut par, &pool(), 32).unwrap();
         assert!(!out.ran_parallel, "a shared cell must fail the PD test");
+        assert_eq!(out.abort, Some(AbortReason::Dependence));
         assert_eq!(par.arrays["A"], seq.arrays["A"]);
         assert_eq!(par.arrays["A"][0], 32);
     }
@@ -635,8 +1201,8 @@ mod tests {
 
     #[test]
     fn pointer_loops_fall_back_to_sequential() {
-        // interpret the list as next[] pointers: the planner says General,
-        // so the interpreter conservatively runs sequentially
+        // p = step(p) is neither a counter nor private: no parallel form,
+        // so the run is sequential and no attempt is reported
         let src = "integer p = 0\n\
                    while (p != -1) {\n\
                        A[p] = A[p] + 1\n\
@@ -647,6 +1213,7 @@ mod tests {
         m.define_fn("step", |args| if args[0] >= 7 { -1 } else { args[0] + 1 });
         let out = run_parallel(&prog, &mut m, &pool(), 100).unwrap();
         assert!(!out.ran_parallel);
+        assert_eq!(out.abort, None, "nothing was attempted");
         assert!(m.arrays["A"].iter().all(|&v| v == 1));
     }
 
@@ -667,5 +1234,90 @@ mod tests {
         let out = run_sequential(&p, &mut m, 50).unwrap();
         assert_eq!(out.exited_at, None);
         assert_eq!(m.arrays["A"][0], 50);
+    }
+
+    /// Every parallel plan against the sequential run, on one input.
+    fn assert_plans_match(src: &str, m: &Machine, max_iters: usize) {
+        let c = compile(&parse_program(src).unwrap());
+        let mut seq = m.clone();
+        let want = c.run_sequential(&mut seq, max_iters);
+        let n = c.arrays.len();
+        let plans = [
+            ExecPlan::TwoPass {
+                marked: vec![false; n],
+            },
+            ExecPlan::TwoPass {
+                marked: vec![true; n],
+            },
+            ExecPlan::Speculate,
+        ];
+        for plan in plans {
+            let mut par = m.clone();
+            let inputs = m.arrays.clone();
+            let got = c.run(&plan, &mut par, &pool(), max_iters, &|m| {
+                m.arrays.clone_from(&inputs)
+            });
+            assert_eq!(
+                got.map(|o| (o.iterations, o.exited_at)),
+                want.clone().map(|o| (o.iterations, o.exited_at)),
+                "{plan:?}\n{src}"
+            );
+            assert_eq!(par.arrays, seq.arrays, "{plan:?}\n{src}");
+            assert_eq!(par.scalars, seq.scalars, "{plan:?}\n{src}");
+        }
+    }
+
+    #[test]
+    fn closed_form_trip_counts_match_the_head_tests() {
+        let m = machine_with(&[("A", vec![0; 64])]);
+        for head in [
+            "i < 40",
+            "i <= 40",
+            "40 > i",
+            "i >= -3",
+            "i != 39",
+            "i == 2",
+            "2 * i + 1 < 30",
+            "i < 1000",
+        ] {
+            for (init, step) in [(0, 1), (2, 3), (50, -1)] {
+                let src = format!(
+                    "integer i = {init}\nwhile ({head}) {{\n    A[i - {init} + 8] = i\n    i = i + {step}\n}}"
+                );
+                assert_plans_match(&src, &m, 48);
+            }
+        }
+        // an unbounded run: the closed form must not overflow
+        let src = "integer i = 0\nwhile (i < 40) {\n    A[i] = i\n    i = i + 1\n}";
+        assert_plans_match(src, &m, usize::MAX);
+        // a counter next to i64::MAX: the closed form declines, pass 1 runs
+        let src =
+            "integer i = 9223372036854775800\nwhile (i > 0) {\n    A[0] = i\n    i = i + 3\n}";
+        assert_plans_match(src, &m, 16);
+    }
+
+    #[test]
+    fn private_scalars_and_counters_leave_their_sequential_values() {
+        let src =
+            "integer i = 0\nwhile (i < n) {\n    exit if (stop[i] == 1)\n    t = A[i] * 2\n    \
+                   s = s + 5\n    A[i] = t + s\n    i = i + 1\n}";
+        let mut stop = vec![0; 100];
+        stop[70] = 1;
+        let mut m = machine_with(&[("A", (0..100).collect()), ("stop", stop)]);
+        m.scalars.insert("n".into(), 100);
+        m.scalars.insert("s".into(), 7);
+        assert_plans_match(src, &m, 200);
+        // no iteration runs: the private stays unbound
+        m.scalars.insert("n".into(), 0);
+        assert_plans_match(src, &m, 200);
+    }
+
+    #[test]
+    fn faults_in_parallel_plans_report_the_sequential_error() {
+        // iterations 30.. run out of bounds, and 17 divides by zero
+        let src = "integer i = 0\nwhile (i < 40) {\n    A[i] = 10 / (i - 17)\n    i = i + 1\n}";
+        assert_plans_match(src, &machine_with(&[("A", vec![0; 30])]), 100);
+        let src = "integer i = 0\nwhile (i < 40) {\n    A[i] = B[i]\n    i = i + 1\n}";
+        assert_plans_match(src, &machine_with(&[("A", vec![0; 40])]), 100);
     }
 }

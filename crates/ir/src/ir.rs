@@ -7,6 +7,7 @@
 //! subscripts" for which only the run-time PD test can help.
 
 use crate::span::Span;
+use std::collections::BTreeSet;
 
 /// Identifies an array in the loop's environment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -127,12 +128,16 @@ impl Stmt {
 pub struct LoopIr {
     /// Statements in program order.
     pub stmts: Vec<Stmt>,
+    /// The source name of each array, indexed by [`ArrayId`], for a body
+    /// lowered from source; empty for a body built by hand. This is how
+    /// facts stated per [`ArrayId`] reach code that binds arrays by name.
+    pub array_names: Vec<String>,
 }
 
 impl LoopIr {
     /// An empty loop body.
     pub fn new() -> Self {
-        LoopIr { stmts: Vec::new() }
+        LoopIr::default()
     }
 
     /// Appends a statement, returning its index.
@@ -167,6 +172,42 @@ impl LoopIr {
             .enumerate()
             .filter(|(_, s)| s.kind == StmtKind::ExitTest)
             .map(|(i, _)| i)
+    }
+
+    /// The remainder view of a (privatization-refined) body: recurrence
+    /// updates contribute nothing (their value pattern is materialized up
+    /// front — closed form or parallel prefix), and accesses to the
+    /// scalars they own are likewise dropped everywhere. What is left is
+    /// exactly the memory traffic a parallel execution of the remainder
+    /// performs.
+    pub fn remainder_view(&self) -> LoopIr {
+        let update_vars: BTreeSet<VarId> = self
+            .stmts
+            .iter()
+            .filter(|s| matches!(s.kind, StmtKind::Update(_)))
+            .flat_map(|s| s.writes.iter())
+            .filter_map(|w| match w {
+                WRef::Scalar(v) => Some(*v),
+                WRef::Element(..) => None,
+            })
+            .collect();
+        let owned = |r: &WRef| matches!(r, WRef::Scalar(v) if update_vars.contains(v));
+        let mut out = LoopIr {
+            stmts: Vec::with_capacity(self.stmts.len()),
+            array_names: self.array_names.clone(),
+        };
+        for s in &self.stmts {
+            let mut c = s.clone();
+            if matches!(s.kind, StmtKind::Update(_)) {
+                c.writes.clear();
+                c.reads.clear();
+            } else {
+                c.writes.retain(|r| !owned(r));
+                c.reads.retain(|r| !owned(r));
+            }
+            out.push(c);
+        }
+        out
     }
 }
 

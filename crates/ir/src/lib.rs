@@ -21,10 +21,13 @@
 //!   to `wlp-core`'s executors and cost model;
 //! * [`frontend`] — a small Fortran-flavored source front-end that parses
 //!   WHILE-loop text into the IR;
-//! * [`interp`] — an interpreter executing parsed loops sequentially or
-//!   through the planned speculative parallel strategy, completing the
+//! * [`compile`](mod@compile) — compiles a parsed loop once into its
+//!   slot-resolved executable form, [`CompiledLoop`];
+//! * [`interp`] — the executors that run a compiled loop sequentially or
+//!   through the parallel plan its certificate licenses, completing the
 //!   source → analysis → plan → parallel-execution pipeline.
 
+pub mod compile;
 pub mod dependence;
 pub mod distribute;
 pub mod frontend;
@@ -34,12 +37,13 @@ pub mod plan;
 pub mod scc;
 pub mod span;
 
+pub use compile::{compile, CompiledLoop};
 pub use dependence::{
-    refs_conflict_cross_iteration, refs_may_conflict, DepEdge, DepGraph, DepKind,
+    heads_see_inputs, refs_conflict_cross_iteration, refs_may_conflict, DepEdge, DepGraph, DepKind,
 };
 pub use distribute::{distribute, fuse, DistributedLoop, FusedBlock, LoopNature};
 pub use frontend::parse_loop;
-pub use interp::{run_parallel, run_sequential, ExecOutcome, Machine};
+pub use interp::{run_parallel, run_sequential, ExecOutcome, ExecPlan, Machine};
 pub use ir::{ArrayId, LoopIr, Stmt, StmtKind, Subscript, UpdateOp, VarId, WRef};
 pub use plan::{plan, Plan, StrategyKind};
 pub use scc::condense;

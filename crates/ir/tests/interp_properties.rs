@@ -1,7 +1,8 @@
 //! Property: for randomly generated loop programs, the interpreter's
-//! parallel execution (speculative DOALL through the planner) produces a
-//! machine identical to the sequential interpretation — whatever the
-//! subscript shapes, exit positions or collision patterns.
+//! parallel execution (the certificate-less plan: every array under the
+//! PD test) produces a machine identical to the sequential
+//! interpretation — whatever the subscript shapes, exit positions,
+//! collision patterns, private scalars or counters.
 
 use proptest::prelude::*;
 use wlp_ir::frontend::parse_program;
@@ -21,6 +22,12 @@ struct ProgParams {
     stores: Vec<(Sub, i64)>, // target subscript, addend
     exit_at: Option<usize>,
     idx_collides: bool,
+    /// `t = A[sub] + k` first in the body, read by the last store: a
+    /// scalar written before it is read, private to each iteration.
+    private: Option<(Sub, i64)>,
+    /// `s = s + c`: a counter besides the induction variable, placed
+    /// before the stores (which then read its post-update value).
+    counter: Option<i64>,
 }
 
 fn sub_strategy() -> impl Strategy<Value = Sub> {
@@ -32,19 +39,29 @@ fn sub_strategy() -> impl Strategy<Value = Sub> {
 
 fn prog_strategy() -> impl Strategy<Value = ProgParams> {
     (
-        4usize..60,
-        1i64..3,
-        prop::collection::vec((sub_strategy(), -5i64..6), 1..4),
-        prop::option::of(0usize..80),
-        any::<bool>(),
+        (
+            4usize..60,
+            1i64..3,
+            prop::collection::vec((sub_strategy(), -5i64..6), 1..4),
+            prop::option::of(0usize..80),
+            any::<bool>(),
+        ),
+        (
+            prop::option::of((sub_strategy(), -3i64..4)),
+            prop::option::of(-4i64..5),
+        ),
     )
-        .prop_map(|(n, stride, stores, exit_at, idx_collides)| ProgParams {
-            n,
-            stride,
-            stores,
-            exit_at,
-            idx_collides,
-        })
+        .prop_map(
+            |((n, stride, stores, exit_at, idx_collides), (private, counter))| ProgParams {
+                n,
+                stride,
+                stores,
+                exit_at,
+                idx_collides,
+                private,
+                counter,
+            },
+        )
 }
 
 fn source_of(p: &ProgParams) -> String {
@@ -52,15 +69,33 @@ fn source_of(p: &ProgParams) -> String {
     if p.exit_at.is_some() {
         body.push_str("    exit if (stop[i] == 1)\n");
     }
-    for (sub, add) in &p.stores {
-        let s = match sub {
-            Sub::Affine(c, o) => format!("{c}*i + {o}"),
-            Sub::Indirect => "idx[i]".to_string(),
+    let subscript = |sub: &Sub| match sub {
+        Sub::Affine(c, o) => format!("{c}*i + {o}"),
+        Sub::Indirect => "idx[i]".to_string(),
+    };
+    if let Some((sub, k)) = &p.private {
+        body.push_str(&format!("    t = A[{}] + {k}\n", subscript(sub)));
+    }
+    if let Some(c) = p.counter {
+        body.push_str(&format!("    s = s + {c}\n"));
+    }
+    let last = p.stores.len() - 1;
+    for (j, (sub, add)) in p.stores.iter().enumerate() {
+        let s = subscript(sub);
+        let extra = match (j == last, &p.private, p.counter) {
+            (true, Some(_), _) => " + t",
+            (true, None, Some(_)) => " + s",
+            _ => "",
         };
-        body.push_str(&format!("    A[{s}] = A[{s}] + i + {add}\n"));
+        body.push_str(&format!("    A[{s}] = A[{s}] + i + {add}{extra}\n"));
     }
     body.push_str(&format!("    i = i + {}\n", p.stride));
-    format!("integer i = 0\nwhile (i < {}) {{\n{body}}}", p.n)
+    let decls = if p.counter.is_some() {
+        "integer i = 0\ninteger s = 5\n"
+    } else {
+        "integer i = 0\n"
+    };
+    format!("{decls}while (i < {}) {{\n{body}}}", p.n)
 }
 
 fn machine_of(p: &ProgParams) -> Machine {
@@ -105,11 +140,9 @@ proptest! {
         let po = run_parallel(&prog, &mut par, &pool, params.n + 10).unwrap();
 
         prop_assert_eq!(&par.arrays, &seq.arrays, "src:\n{}", src);
-        prop_assert_eq!(par.scalars.get("i"), seq.scalars.get("i"));
-        // iterations agree whenever both terminated by condition/exit
-        if so.exited_at.is_some() && po.exited_at.is_some() {
-            prop_assert_eq!(so.iterations, po.iterations);
-        }
+        prop_assert_eq!(&par.scalars, &seq.scalars, "src:\n{}", src);
+        prop_assert_eq!(so.iterations, po.iterations);
+        prop_assert_eq!(so.exited_at, po.exited_at);
     }
 
     #[test]

@@ -45,6 +45,6 @@ pub mod trail;
 
 pub use crosscheck::{crosscheck, Claims, Falsified};
 pub use oracle::{oracle_verdict, Access};
-pub use shadow::{Conflict, ConflictKind, IterMarker, PdVerdict, Shadow};
+pub use shadow::{Conflict, ConflictKind, IterMarker, IterMarkers, PdVerdict, Shadow};
 pub use sparse_shadow::{SparseMarker, SparseShadow};
 pub use trail::{copy_out_last_values, TrailEvent, TrailSet};

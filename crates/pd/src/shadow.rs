@@ -526,6 +526,51 @@ impl Drop for IterMarker<'_> {
     }
 }
 
+/// How many shadows an [`IterMarkers`] holds markers for inline before
+/// spilling to the heap. Loops reference a handful of arrays, so building
+/// one iteration's markers allocates nothing.
+const INLINE_SHADOWS: usize = 8;
+
+/// One iteration's [`IterMarker`]s over several shadows, one slot per
+/// array — `None` for an array not under test.
+#[derive(Debug)]
+pub struct IterMarkers<'a>(MarkerSlots<'a>);
+
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // one per iteration, on the stack: boxing would allocate
+enum MarkerSlots<'a> {
+    Inline([Option<IterMarker<'a>>; INLINE_SHADOWS]),
+    Spilled(Vec<Option<IterMarker<'a>>>),
+}
+
+impl<'a> IterMarkers<'a> {
+    /// Begins marking iteration `iter` on every `Some` shadow.
+    pub fn new<I>(shadows: I, iter: usize) -> Self
+    where
+        I: ExactSizeIterator<Item = Option<&'a Shadow>>,
+    {
+        let marker = |s: Option<&'a Shadow>| s.map(|s| s.iteration(iter));
+        if shadows.len() <= INLINE_SHADOWS {
+            let mut slots: [Option<IterMarker<'a>>; INLINE_SHADOWS] = Default::default();
+            for (slot, s) in slots.iter_mut().zip(shadows) {
+                *slot = marker(s);
+            }
+            IterMarkers(MarkerSlots::Inline(slots))
+        } else {
+            IterMarkers(MarkerSlots::Spilled(shadows.map(marker).collect()))
+        }
+    }
+
+    /// The marker of array `a`, if it is under test.
+    #[inline]
+    pub fn get(&mut self, a: usize) -> Option<&mut IterMarker<'a>> {
+        match &mut self.0 {
+            MarkerSlots::Inline(slots) => slots[a].as_mut(),
+            MarkerSlots::Spilled(slots) => slots[a].as_mut(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

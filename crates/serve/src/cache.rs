@@ -8,9 +8,10 @@
 //! [`CertCache`] keys entries by the FNV-1a hash of the program source
 //! (verifying the stored source byte-for-byte on hit, since FNV-1a is
 //! not collision-resistant) — a hit skips the whole `wlp-ir` front end
-//! and `wlp-analyze` pipeline
-//! and hands back the parsed [`Program`] plus the finished [`Analysis`]
-//! behind an `Arc`, so concurrent requests share one copy.
+//! and `wlp-analyze` pipeline and hands back the parsed [`Program`], the
+//! finished [`Analysis`], and the program compiled once into its
+//! executable form with the plan its certificate licenses, behind an
+//! `Arc`, so concurrent requests share one copy.
 //!
 //! Eviction is LRU over a bounded capacity: the cache is sized for the
 //! working set of distinct programs, not the request volume, and a cold
@@ -22,6 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wlp_analyze::{analyze_source, Analysis};
 use wlp_ir::frontend::{FrontendError, Program};
+use wlp_ir::interp::{compile, CompiledLoop, ExecPlan};
 
 /// 64-bit FNV-1a over a byte string — the content hash the cache keys on
 /// (and the digest [`crate::Service`] reports for result arrays).
@@ -46,10 +48,32 @@ pub struct CacheEntry {
     /// otherwise a crafted program could poison the shared cache and
     /// other tenants would silently run the wrong program.
     pub source: String,
-    /// The parsed AST the interpreter executes.
+    /// The parsed AST.
     pub program: Program,
     /// The full static analysis, certificate included.
     pub analysis: Analysis,
+    /// The program compiled once into the executable form every request
+    /// runs.
+    pub compiled: Arc<CompiledLoop>,
+    /// The executor the certificate licenses for [`Self::compiled`].
+    pub plan: ExecPlan,
+}
+
+impl CacheEntry {
+    /// Builds the entry for `source`: the program, its analysis, and the
+    /// compiled loop with the plan derived from the certificate.
+    fn build(key: u64, source: &str, program: Program, analysis: Analysis) -> Arc<CacheEntry> {
+        let compiled = Arc::new(compile(&program));
+        let plan = analysis.exec_plan(&compiled);
+        Arc::new(CacheEntry {
+            key,
+            source: source.to_string(),
+            program,
+            analysis,
+            compiled,
+            plan,
+        })
+    }
 }
 
 /// Why [`CertCache::load_recovered`] refused a persisted record. Every
@@ -142,12 +166,7 @@ impl CertCache {
         // unrelated hits. Two racing misses both build; last insert wins
         // and both results are identical (the pipeline is deterministic).
         let (program, analysis) = analyze_source(source)?;
-        let entry = Arc::new(CacheEntry {
-            key,
-            source: source.to_string(),
-            program,
-            analysis,
-        });
+        let entry = CacheEntry::build(key, source, program, analysis);
         let mut st = self.state.lock();
         match st.map.get(&key) {
             None => {
@@ -199,12 +218,7 @@ impl CertCache {
         if analysis.certificate.encode_compact() != cert_line {
             return Err(RecoverError::CertMismatch);
         }
-        let entry = Arc::new(CacheEntry {
-            key,
-            source: source.to_string(),
-            program,
-            analysis,
-        });
+        let entry = CacheEntry::build(key, source, program, analysis);
         let mut st = self.state.lock();
         match st.map.get(&key) {
             None => {

@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wlp_analyze::CertVerdict;
-use wlp_ir::interp::{run_parallel, run_sequential, Machine};
+use wlp_ir::interp::{ExecPlan, Machine};
 use wlp_obs::{AbortReason, Event, ProfileReport, Sample, StrategyChoice, Trace};
 use wlp_runtime::{
     payload_message, Deadline, Governor, GovernorPolicy, Pool, RegionScheduler, SchedulerConfig,
@@ -135,8 +135,13 @@ impl Default for ServeConfig {
 struct TenantState {
     /// Regions currently admitted (between admission and completion).
     in_flight: AtomicUsize,
-    /// Strategy ladder driven by this tenant's abort history.
+    /// Strategy ladder driven by the abort history of this tenant's
+    /// PD-tested runs.
     governor: Mutex<Governor>,
+    /// The ladder of this tenant's certified-DOALL runs. They cannot fail
+    /// a dependence test, so only their own timeouts and panics demote
+    /// them — never another program's speculation.
+    doall_governor: Mutex<Governor>,
     /// Remaining speculation write-budget credits.
     credits: AtomicU64,
     /// Requests accounted to this tenant.
@@ -156,6 +161,7 @@ impl TenantState {
         TenantState {
             in_flight: AtomicUsize::new(0),
             governor: Mutex::new(Governor::new(cfg.governor)),
+            doall_governor: Mutex::new(Governor::new(cfg.governor)),
             credits: AtomicU64::new(cfg.tenant_spec_credits),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -188,6 +194,65 @@ impl TenantState {
     }
 }
 
+/// One entry of the service's sample ring. Every event the service
+/// records carries at most one word, so an entry is that word plus the
+/// timestamp with the event's kind in its top bits: 16 bytes where a
+/// [`Sample`] takes 48, which keeps a full default ring at 1 MiB.
+#[derive(Debug, Clone, Copy)]
+struct RingEntry {
+    /// Nanoseconds since the service's epoch; the kind above
+    /// [`RingEntry::KIND_SHIFT`].
+    t_kind: u64,
+    word: u64,
+}
+
+impl RingEntry {
+    /// Timestamps keep 60 bits: 36 years of nanoseconds.
+    const KIND_SHIFT: u32 = 60;
+
+    fn pack(t: u64, event: Event) -> RingEntry {
+        let (kind, word) = match event {
+            Event::CertCacheHit { key } => (0, key),
+            Event::CertCacheMiss { key } => (1, key),
+            Event::RegionAdmit { lane } => (2, lane),
+            Event::RegionReject { retriable } => (3, u64::from(retriable)),
+            Event::RequestTimeout { queued } => (4, u64::from(queued)),
+            Event::Drain { in_flight } => (5, in_flight),
+            Event::CircuitTrip { open } => (6, u64::from(open)),
+            Event::SnapshotWrite { records } => (7, records),
+            Event::JournalAppend { bytes } => (8, bytes),
+            Event::RecoverySkip { records } => (9, records),
+            other => unreachable!("the service does not record {}", other.kind()),
+        };
+        let t = t & ((1 << Self::KIND_SHIFT) - 1);
+        RingEntry {
+            t_kind: (kind << Self::KIND_SHIFT) | t,
+            word,
+        }
+    }
+
+    fn unpack(self) -> Sample {
+        let w = self.word;
+        let event = match self.t_kind >> Self::KIND_SHIFT {
+            0 => Event::CertCacheHit { key: w },
+            1 => Event::CertCacheMiss { key: w },
+            2 => Event::RegionAdmit { lane: w },
+            3 => Event::RegionReject { retriable: w != 0 },
+            4 => Event::RequestTimeout { queued: w != 0 },
+            5 => Event::Drain { in_flight: w },
+            6 => Event::CircuitTrip { open: w != 0 },
+            7 => Event::SnapshotWrite { records: w },
+            8 => Event::JournalAppend { bytes: w },
+            _ => Event::RecoverySkip { records: w },
+        };
+        Sample {
+            t: self.t_kind & ((1 << Self::KIND_SHIFT) - 1),
+            proc: 0,
+            event,
+        }
+    }
+}
+
 /// The resident service: shared scheduler, certificate cache, tenant
 /// table, and observability counters. All methods take `&self` — wrap in
 /// an [`Arc`] and call [`handle_line`](Self::handle_line) from as many
@@ -197,7 +262,7 @@ pub struct Service {
     scheduler: RegionScheduler,
     cache: CertCache,
     tenants: Mutex<HashMap<String, Arc<TenantState>>>,
-    samples: Mutex<VecDeque<Sample>>,
+    samples: Mutex<VecDeque<RingEntry>>,
     samples_dropped: AtomicU64,
     epoch: Instant,
     requests: AtomicU64,
@@ -461,7 +526,7 @@ impl Service {
                 );
             }
         };
-        let cert = entry.analysis.certificate.clone();
+        let cert = &entry.analysis.certificate;
         let max_iters = req.max_iters.unwrap_or(self.cfg.default_max_iters);
         // The deadline is measured from request parse and clamped so a
         // client cannot buy more wall-clock than the operator allows.
@@ -529,9 +594,12 @@ impl Service {
 
         // ---- machine assembly ----
         let mut machine = Machine::default();
-        for (name, data) in &req.arrays {
-            machine.arrays.insert(name.clone(), data.clone());
-        }
+        let restore = |m: &mut Machine| {
+            for (name, data) in &req.arrays {
+                m.arrays.insert(name.clone(), data.clone());
+            }
+        };
+        restore(&mut machine);
         for (name, v) in &req.scalars {
             machine.scalars.insert(name.clone(), *v);
         }
@@ -541,9 +609,16 @@ impl Service {
         }
 
         // ---- execution on a checked-out lane ----
-        let rung = tenant.governor.lock().current();
+        // The certificate picked the executor when the entry was cached;
+        // the ladder of its kind may still hold it sequential.
+        let ladder = if entry.plan.pd_tested() {
+            &tenant.governor
+        } else {
+            &tenant.doall_governor
+        };
+        let rung = ladder.lock().current();
         let attempt_parallel =
-            cert.verdict != CertVerdict::CertifiedSequential && rung != StrategyChoice::Sequential;
+            entry.plan != ExecPlan::Sequential && rung != StrategyChoice::Sequential;
         let Some(lane) = self.scheduler.acquire_until(expiry, cancel.map(|c| &**c)) else {
             // Gave up in the lane queue: the deadline expired or the
             // client went away before any work started. The ticket was
@@ -574,9 +649,12 @@ impl Service {
         }
         let caught = catch_unwind(AssertUnwindSafe(|| {
             if attempt_parallel {
-                run_parallel(&entry.program, &mut machine, &pool, max_iters)
+                let plan = &entry.plan;
+                entry
+                    .compiled
+                    .run(plan, &mut machine, &pool, max_iters, &restore)
             } else {
-                run_sequential(&entry.program, &mut machine, max_iters)
+                entry.compiled.run_sequential(&mut machine, max_iters)
             }
         }));
         drop(lane);
@@ -595,10 +673,7 @@ impl Service {
                 // already back; report the hard failure and let the
                 // breaker see it.
                 if attempt_parallel {
-                    tenant
-                        .governor
-                        .lock()
-                        .record_failure(AbortReason::Exception);
+                    ladder.lock().record_failure(AbortReason::Exception);
                 }
                 self.breaker_failure(&tenant);
                 self.errors.fetch_add(1, Ordering::Relaxed);
@@ -615,12 +690,8 @@ impl Service {
         let out = match result {
             Ok(out) => out,
             Err(e) => {
-                if attempt_parallel {
-                    tenant
-                        .governor
-                        .lock()
-                        .record_failure(AbortReason::Exception);
-                }
+                // the program's own error, reproduced sequentially: not
+                // a verdict on parallel execution
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 return proto::error_line(
                     &ProtoError {
@@ -639,18 +710,17 @@ impl Service {
         let abandoned = cancel.is_some_and(|c| c.is_cancelled());
         if expired || abandoned {
             if attempt_parallel {
-                tenant.governor.lock().record_failure(AbortReason::Timeout);
+                ladder.lock().record_failure(AbortReason::Timeout);
             }
             return self.timed_out(&tenant, req.id, started, abandoned, false);
         }
         if attempt_parallel {
-            let mut gov = tenant.governor.lock();
+            // only an attempt that actually ran counts: a loop without a
+            // parallel form falls back without touching the ladder
             if out.ran_parallel {
-                gov.record_success();
-            } else {
-                // the speculative path fell back (abort or planner
-                // conservatism): count it against the tenant's ladder
-                gov.record_failure(AbortReason::Dependence);
+                ladder.lock().record_success();
+            } else if let Some(reason) = out.abort {
+                ladder.lock().record_failure(reason);
             }
         }
         if tenant.breaker.lock().record_success() {
@@ -924,11 +994,10 @@ impl Service {
             samples.pop_front();
             self.samples_dropped.fetch_add(1, Ordering::Relaxed);
         }
-        samples.push_back(Sample {
-            t: self.epoch.elapsed().as_nanos() as u64,
-            proc: 0,
+        samples.push_back(RingEntry::pack(
+            self.epoch.elapsed().as_nanos() as u64,
             event,
-        });
+        ));
     }
 
     /// Cache hits so far (also in the `stats` op and [`profile`](Self::profile)).
@@ -952,7 +1021,7 @@ impl Service {
         Trace {
             p: 1,
             makespan: self.epoch.elapsed().as_nanos() as u64,
-            samples: self.samples.lock().iter().cloned().collect(),
+            samples: self.samples.lock().iter().map(|e| e.unpack()).collect(),
         }
     }
 
@@ -996,6 +1065,10 @@ impl Service {
                         (
                             "rung".into(),
                             Value::Str(rung_name(t.governor.lock().current()).into()),
+                        ),
+                        (
+                            "doall_rung".into(),
+                            Value::Str(rung_name(t.doall_governor.lock().current()).into()),
                         ),
                         (
                             "timeouts".into(),
@@ -1302,6 +1375,28 @@ mod tests {
         );
         let stats = svc.handle_line(r#"{"op":"stats"}"#);
         assert!(stats.contains("\"samples_dropped\":"), "{stats}");
+    }
+
+    #[test]
+    fn ring_entries_round_trip_every_recorded_event() {
+        let events = [
+            Event::CertCacheHit { key: u64::MAX },
+            Event::CertCacheMiss { key: 7 },
+            Event::RegionAdmit { lane: 3 },
+            Event::RegionReject { retriable: true },
+            Event::RequestTimeout { queued: false },
+            Event::Drain { in_flight: 2 },
+            Event::CircuitTrip { open: true },
+            Event::SnapshotWrite { records: 11 },
+            Event::JournalAppend { bytes: 1 << 40 },
+            Event::RecoverySkip { records: 5 },
+        ];
+        for (t, event) in events.into_iter().enumerate() {
+            let t = (1 << 59) + t as u64;
+            let s = RingEntry::pack(t, event).unpack();
+            assert_eq!((s.t, s.proc, s.event), (t, 0, event));
+        }
+        assert_eq!(std::mem::size_of::<RingEntry>(), 16);
     }
 
     /// A unique scratch state dir, removed on drop.

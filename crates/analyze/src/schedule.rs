@@ -20,8 +20,8 @@
 //! fences of their own.
 
 use crate::fission::FissionPlan;
-use wlp_obs::AbortReason;
-use wlp_runtime::doacross::{doacross_grained, DoacrossOutcome};
+use wlp_obs::{AbortReason, NoopRecorder};
+use wlp_runtime::doacross::{doacross, DoacrossOutcome};
 use wlp_runtime::governor::Governor;
 use wlp_runtime::Pool;
 
@@ -45,7 +45,7 @@ where
 {
     let stages = plan.stages().max(1);
     let grain = governor.current_grain();
-    let out = doacross_grained(pool, upper, stages, grain, body);
+    let out = doacross(pool, upper, stages, grain, &NoopRecorder, body);
     if out.panic.is_some() {
         governor.record_failure(AbortReason::Exception);
     } else if out.timeout.is_some() {

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use wlp_core::general::{general1, general2, general3, GeneralConfig};
 use wlp_core::induction::induction2;
 use wlp_list::ListArena;
-use wlp_runtime::Pool;
+use wlp_runtime::{NoopRecorder, Pool, Step};
 
 fn work(v: u64) -> u64 {
     let mut acc = v;
@@ -42,9 +42,16 @@ fn bench_general_methods(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("general1", p), &p, |b, _| {
             b.iter(|| {
                 let acc = AtomicU64::new(0);
-                general1(&pool, &list, GeneralConfig::default(), |_i, node| {
-                    acc.fetch_add(work(list[node]), Ordering::Relaxed);
-                });
+                general1(
+                    &pool,
+                    &list,
+                    GeneralConfig::default(),
+                    &NoopRecorder,
+                    |_i, node| {
+                        acc.fetch_add(work(list[node]), Ordering::Relaxed);
+                        Step::Continue
+                    },
+                );
                 black_box(acc.load(Ordering::Relaxed))
             })
         });
@@ -53,6 +60,7 @@ fn bench_general_methods(c: &mut Criterion) {
                 let acc = AtomicU64::new(0);
                 general2(&pool, &list, GeneralConfig::default(), |_i, node| {
                     acc.fetch_add(work(list[node]), Ordering::Relaxed);
+                    Step::Continue
                 });
                 black_box(acc.load(Ordering::Relaxed))
             })
@@ -60,9 +68,16 @@ fn bench_general_methods(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("general3", p), &p, |b, _| {
             b.iter(|| {
                 let acc = AtomicU64::new(0);
-                general3(&pool, &list, GeneralConfig::default(), |_i, node| {
-                    acc.fetch_add(work(list[node]), Ordering::Relaxed);
-                });
+                general3(
+                    &pool,
+                    &list,
+                    GeneralConfig::default(),
+                    &NoopRecorder,
+                    |_i, node| {
+                        acc.fetch_add(work(list[node]), Ordering::Relaxed);
+                        Step::Continue
+                    },
+                );
                 black_box(acc.load(Ordering::Relaxed))
             })
         });
@@ -95,6 +110,7 @@ fn bench_induction(c: &mut Criterion) {
                 let out = induction2(
                     &pool,
                     n,
+                    &NoopRecorder,
                     |i| i >= 40_000,
                     |i, _| {
                         acc.fetch_add(work(i as u64), Ordering::Relaxed);

@@ -53,7 +53,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    println!("mode/seed      wall_us  abort       correct  pool-reusable");
+    println!("mode/seed      abort       correct  pool-reusable");
     let mut failed = false;
     for mode in modes {
         for &seed in &seeds {

@@ -63,8 +63,8 @@ use std::hint::black_box;
 use std::time::Instant;
 use wlp_core::{governed_while, speculative_while, SpeculativeArray};
 use wlp_runtime::{
-    doall_dynamic_chunked, doall_worksteal, ChunkPolicy, Deadline, Governor, GovernorPolicy, Pool,
-    Step,
+    doall_dynamic, doall_worksteal, ChunkPolicy, Deadline, Governor, GovernorPolicy, NoopRecorder,
+    Pool, Step,
 };
 use wlp_workloads::{spice, track};
 
@@ -368,7 +368,7 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
                 Some("compute/seq/-/p1"),
                 p > 1,
                 || {
-                    doall_dynamic_chunked(&pool, n, policy, |i, _| {
+                    doall_dynamic(&pool, n, policy, &NoopRecorder, |i, _| {
                         black_box(flops(i));
                         Step::Continue
                     });
@@ -443,7 +443,7 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
         let spawning = Pool::new_spawning(p);
         h.run("dispatch", "spawn", "-", p, n, None, false, || {
             for _ in 0..regions {
-                doall_dynamic_chunked(&spawning, n, ChunkPolicy::One, |i, _| {
+                doall_dynamic(&spawning, n, ChunkPolicy::One, &NoopRecorder, |i, _| {
                     black_box(i);
                     Step::Continue
                 });
@@ -460,7 +460,7 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
             false, // gated separately: resident must beat spawn
             || {
                 for _ in 0..regions {
-                    doall_dynamic_chunked(&resident, n, ChunkPolicy::One, |i, _| {
+                    doall_dynamic(&resident, n, ChunkPolicy::One, &NoopRecorder, |i, _| {
                         black_box(i);
                         Step::Continue
                     });
@@ -478,10 +478,16 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
         }
         let plain = Pool::new(p);
         h.run("watchdog", "resident", "-", p, n, None, false, || {
-            doall_dynamic_chunked(&plain, n, ChunkPolicy::Guided { min: 4 }, |i, _| {
-                black_box(flops(i));
-                Step::Continue
-            });
+            doall_dynamic(
+                &plain,
+                n,
+                ChunkPolicy::Guided { min: 4 },
+                &NoopRecorder,
+                |i, _| {
+                    black_box(flops(i));
+                    Step::Continue
+                },
+            );
         });
         // A deadline far beyond the region's runtime: the watchdog arms,
         // waits and disarms every region without ever firing, so the
@@ -496,10 +502,16 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
             Some(&format!("watchdog/resident/-/p{p}")),
             false, // gated separately: within WATCHDOG_GATE of the baseline
             || {
-                doall_dynamic_chunked(&armed, n, ChunkPolicy::Guided { min: 4 }, |i, _| {
-                    black_box(flops(i));
-                    Step::Continue
-                });
+                doall_dynamic(
+                    &armed,
+                    n,
+                    ChunkPolicy::Guided { min: 4 },
+                    &NoopRecorder,
+                    |i, _| {
+                        black_box(flops(i));
+                        Step::Continue
+                    },
+                );
             },
         );
     }
@@ -531,7 +543,7 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
             Some("contention/seq/-/p1"),
             false, // pure dispatcher overhead: tracked, not gated
             || {
-                doall_dynamic_chunked(&pool, n, policy, |i, _| {
+                doall_dynamic(&pool, n, policy, &NoopRecorder, |i, _| {
                     black_box(i);
                     Step::Continue
                 });
@@ -571,7 +583,9 @@ fn run_all(h: &mut Harness, sizes: &Sizes) {
             let out = speculative_while(
                 &pool,
                 n,
+                ChunkPolicy::One,
                 &arr,
+                &NoopRecorder,
                 |_, _| false,
                 |i, a| {
                     let v = a.read(i);
@@ -610,6 +624,7 @@ fn governed_storm() -> GovernorCounters {
             upper,
             vec![0i64; upper],
             &mut gov,
+            &NoopRecorder,
             |i| i >= exit,
             |i, a| a.write(i, i as i64 + 1),
         );

@@ -739,11 +739,9 @@ pub fn render_ablation_balance() -> String {
 /// injected by `wlp-fault`; both must produce the sequential answer, and
 /// the faulted run must additionally show one exception abort in its
 /// recorded trace. A third run corrupts the device list into a cycle and
-/// shows the runaway-dispatcher guard returning a structured error. Wall
-/// times make the price of recovery (roughly one extra sequential pass)
-/// visible next to the clean makespan.
+/// shows the runaway-dispatcher guard returning a structured error. The
+/// exhibit prints no wall times, so its output is identical run to run.
 pub fn render_faults() -> String {
-    use std::time::Instant;
     use wlp_fault::FaultPlan;
     use wlp_obs::{BufferRecorder, NoopRecorder, ProfileReport};
     use wlp_runtime::Pool;
@@ -756,7 +754,7 @@ pub fn render_faults() -> String {
     let mut out = String::from(
         "## Faults — panic recovery on the threaded runtime (SPICE LOAD, General-3, p = 8)\n\n",
     );
-    out.push_str("run          wall_us  recovered  aborts(exc)  correct\n");
+    out.push_str("run          recovered  aborts(exc)  correct\n");
 
     // The injected panics are caught by the pool; keep the default hook's
     // backtraces out of the exhibit.
@@ -769,36 +767,32 @@ pub fn render_faults() -> String {
         ("panic@0", FaultPlan::panic_at(0)),
     ] {
         let rec = BufferRecorder::new(p);
-        let t0 = Instant::now();
         let (stamps, outcome) = load_parallel_recovering(&pool, &list, 1e-6, &plan, &rec);
-        let wall = t0.elapsed().as_micros();
         let report = ProfileReport::from_trace(&rec.finish());
         let correct = stamps
             .iter()
             .zip(&reference)
             .all(|(a, b)| (a.geq - b.geq).abs() <= 1e-12 && (a.ieq - b.ieq).abs() <= 1e-9);
         out.push_str(&format!(
-            "{label:<12} {wall:>7} {:>10} {:>12} {correct:>8}\n",
+            "{label:<12} {:>9} {:>12} {correct:>8}\n",
             outcome.recovered, report.aborts_exception
         ));
     }
 
     let mut bad = build_device_list(2_000, 3);
     wlp_fault::corrupt_list_cycle(&mut bad, 5).expect("list long enough");
-    let t0 = Instant::now();
     let (_, outcome) =
         load_parallel_recovering(&pool, &bad, 1e-6, &FaultPlan::none(), &NoopRecorder);
-    let wall = t0.elapsed().as_micros();
     std::panic::set_hook(default_hook);
     match outcome.diverged {
-        Some(d) => out.push_str(&format!("cyclic-list  {wall:>7}  {d}\n")),
+        Some(d) => out.push_str(&format!("cyclic-list  {d}\n")),
         None => out.push_str("cyclic-list  GUARD FAILED: corruption went undetected\n"),
     }
 
     // The governor's other two failure modes, end to end on the threaded
     // speculative driver: a stalled lane reaped by the watchdog and a
     // write hog reaped by the undo-log budget.
-    out.push_str("\nmode/seed      wall_us  abort       correct  pool-reusable\n");
+    out.push_str("\nmode/seed      abort       correct  pool-reusable\n");
     for (mode, seed) in [
         (wlp_fault::FaultMode::Stall, 1),
         (wlp_fault::FaultMode::Hog, 2),
@@ -820,11 +814,10 @@ pub fn render_faults() -> String {
 /// row, or `Err` describing the violated guarantee (the `fault-matrix`
 /// binary turns that into a non-zero exit).
 pub fn run_fault_mode(mode: wlp_fault::FaultMode, seed: u64) -> Result<String, String> {
-    use std::time::Instant;
-    use wlp_core::{speculative_while_rec, SpeculativeArray};
+    use wlp_core::{speculative_while, SpeculativeArray};
     use wlp_fault::{FaultAction, FaultMode, FaultPlan};
     use wlp_obs::{AbortReason, BufferRecorder, NoopRecorder, ProfileReport};
-    use wlp_runtime::{Deadline, Pool};
+    use wlp_runtime::{ChunkPolicy, Deadline, Pool};
     use wlp_workloads::spice::{build_device_list, load_parallel_recovering};
 
     let label = format!("{}/{seed}", mode.name());
@@ -834,14 +827,12 @@ pub fn run_fault_mode(mode: wlp_fault::FaultMode, seed: u64) -> Result<String, S
         let pool = Pool::new(4);
         let default_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let t0 = Instant::now();
         let (_, outcome) =
             load_parallel_recovering(&pool, &bad, 1e-6, &FaultPlan::none(), &NoopRecorder);
-        let wall = t0.elapsed().as_micros();
         std::panic::set_hook(default_hook);
         return match outcome.diverged {
             Some(_) => Ok(format!(
-                "{label:<13} {wall:>7}  {:<11} {:>7}  {:>13}\n",
+                "{label:<13}  {:<11} {:>7}  {:>13}\n",
                 "diverged", true, true
             )),
             None => Err(format!("{label}: cycle went undetected by the guard")),
@@ -862,10 +853,10 @@ pub fn run_fault_mode(mode: wlp_fault::FaultMode, seed: u64) -> Result<String, S
 
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let t0 = Instant::now();
-    let out = speculative_while_rec(
+    let out = speculative_while(
         &pool,
         n,
+        ChunkPolicy::One,
         &arr,
         &rec,
         |i, _| i == exit,
@@ -878,7 +869,6 @@ pub fn run_fault_mode(mode: wlp_fault::FaultMode, seed: u64) -> Result<String, S
             a.write(i, i as i64 + 1);
         },
     );
-    let wall = t0.elapsed().as_micros();
     std::panic::set_hook(default_hook);
 
     let report = ProfileReport::from_trace(&rec.finish());
@@ -909,9 +899,10 @@ pub fn run_fault_mode(mode: wlp_fault::FaultMode, seed: u64) -> Result<String, S
 
     // the faulted region must leave the resident pool reusable
     let probe = SpeculativeArray::new(vec![0i64; 64]);
-    let ok = speculative_while_rec(
+    let ok = speculative_while(
         &pool,
         64,
+        ChunkPolicy::One,
         &probe,
         &NoopRecorder,
         |i, _| i == 32,
@@ -923,7 +914,7 @@ pub fn run_fault_mode(mode: wlp_fault::FaultMode, seed: u64) -> Result<String, S
     }
 
     Ok(format!(
-        "{label:<13} {wall:>7}  {:<11} {:>7}  {reusable:>13}\n",
+        "{label:<13}  {:<11} {:>7}  {reusable:>13}\n",
         format!("{:?}", out.abort.expect("faulted run must abort")),
         true
     ))

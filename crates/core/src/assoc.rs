@@ -7,7 +7,8 @@
 use crate::dispatch::AffineRecurrence;
 use crate::induction::InductionOutcome;
 use std::sync::atomic::{AtomicU64, Ordering};
-use wlp_runtime::{doall_dynamic, Pool, Step};
+use wlp_obs::NoopRecorder;
+use wlp_runtime::{doall_dynamic, ChunkPolicy, Pool, Step};
 
 /// Parallelizes `while (term) { body; x = a·x + b }` where the dispatcher
 /// `x` is the affine recurrence `rec`: terms `x(0..upper)` are evaluated by
@@ -36,7 +37,7 @@ where
         terms.extend(rec.terms_parallel(pool, upper - 1));
     }
     let executed = AtomicU64::new(0);
-    let out = doall_dynamic(pool, upper, |i, _| {
+    let out = doall_dynamic(pool, upper, ChunkPolicy::One, &NoopRecorder, |i, _| {
         let x = terms[i];
         if term(i, x) {
             Step::Quit

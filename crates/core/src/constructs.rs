@@ -9,7 +9,8 @@
 
 use crate::induction::InductionOutcome;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use wlp_runtime::{doacross, doall_dynamic, Pool, Step};
+use wlp_obs::NoopRecorder;
+use wlp_runtime::{doacross, doall_dynamic, ChunkPolicy, Pool, Step};
 
 /// WHILE-DOALL: a WHILE loop with an induction dispatcher and independent
 /// iterations, run as a DOALL with the terminator inlined and QUIT
@@ -20,7 +21,7 @@ where
     TF: Fn(usize) -> bool + Sync,
     BF: Fn(usize, usize) + Sync,
 {
-    crate::induction::induction2(pool, upper, term, body)
+    crate::induction::induction2(pool, upper, &NoopRecorder, term, body)
 }
 
 /// WHILE-DOACROSS: a WHILE loop whose remainder carries cross-iteration
@@ -40,7 +41,7 @@ where
     BF: Fn(usize, usize) + Sync,
 {
     let quit = AtomicUsize::new(usize::MAX);
-    let out = doacross(pool, upper, stages + 1, |i, s| {
+    let out = doacross(pool, upper, stages + 1, 1, &NoopRecorder, |i, s| {
         // Stage 0 (the terminator) runs in strict iteration order along the
         // wavefront, so by the time iteration i tests, every earlier exit
         // is already registered — the quit bound below is exact, and
@@ -82,16 +83,22 @@ where
     F: Fn(usize) -> Option<T> + Sync,
 {
     let found: parking_lot::Mutex<Option<(usize, T)>> = parking_lot::Mutex::new(None);
-    let out = doall_dynamic(pool, upper, |i, _| match body(i) {
-        Some(v) => {
-            let mut f = found.lock();
-            if f.is_none() {
-                *f = Some((i, v));
+    let out = doall_dynamic(
+        pool,
+        upper,
+        ChunkPolicy::One,
+        &NoopRecorder,
+        |i, _| match body(i) {
+            Some(v) => {
+                let mut f = found.lock();
+                if f.is_none() {
+                    *f = Some((i, v));
+                }
+                Step::Quit
             }
-            Step::Quit
-        }
-        None => Step::Continue,
-    });
+            None => Step::Continue,
+        },
+    );
     if let Some(wp) = out.panic {
         wp.resume();
     }
@@ -114,7 +121,7 @@ where
     BF: Fn(usize, usize) + Sync,
 {
     // pass 1: find LI with a terminator-only DOALL (QUIT bounds the scan)
-    let pass1 = doall_dynamic(pool, upper, |i, _| {
+    let pass1 = doall_dynamic(pool, upper, ChunkPolicy::One, &NoopRecorder, |i, _| {
         if term(i) {
             Step::Quit
         } else {
@@ -125,7 +132,7 @@ where
 
     // pass 2: a plain DOALL over the known range — no speculation state
     let executed = AtomicU64::new(0);
-    let pass2 = doall_dynamic(pool, end, |i, vpn| {
+    let pass2 = doall_dynamic(pool, end, ChunkPolicy::One, &NoopRecorder, |i, vpn| {
         body(i, vpn);
         executed.fetch_add(1, Ordering::Relaxed);
         Step::Continue

@@ -14,11 +14,12 @@
 //! * [`wu_lewis_distribution`] — the related-work baseline \[29\]: evaluate
 //!   the dispatcher sequentially into an array, then DOALL the remainder.
 //!
-//! Each method comes in two flavours: the plain one for loops whose only
-//! exit is dispatcher exhaustion (the RI null-pointer terminator — "no
-//! backups or time-stamps", Table 2), and an `_until` flavour whose body
-//! returns [`Step`] to model additional (possibly RV) exits with QUIT
-//! semantics.
+//! Every method's body returns [`Step`]: [`Step::Continue`] for loops
+//! whose only exit is dispatcher exhaustion (the RI null-pointer
+//! terminator — "no backups or time-stamps", Table 2), [`Step::Quit`] to
+//! model additional (possibly RV) exits with QUIT semantics. General-1
+//! and General-3 report to a [`Recorder`]; pass
+//! [`NoopRecorder`](wlp_obs::NoopRecorder) to compile the probes away.
 
 use crate::dispatch::Dispatcher;
 use crate::recover::FirstFault;
@@ -27,7 +28,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 use wlp_list::{DispatcherDiverged, ListArena, NodeId};
 use wlp_obs::{AbortReason, Event, NoopRecorder, Recorder};
-use wlp_runtime::{doall_dynamic, CancelFlag, Pool, Step, WorkerPanic};
+use wlp_runtime::{doall_dynamic, CancelFlag, ChunkPolicy, Pool, Step, WorkerPanic};
 
 /// Options for the General methods.
 #[derive(Debug, Clone, Copy, Default)]
@@ -54,7 +55,7 @@ pub struct GeneralOutcome {
     /// hanging.
     pub diverged: Option<DispatcherDiverged>,
     /// Whether a sequential fallback re-execution produced this result
-    /// (only set by [`general3_recovering_rec`]).
+    /// (only set by [`general3_recovering`]).
     pub recovered: bool,
 }
 
@@ -71,8 +72,9 @@ impl GeneralOutcome {
     }
 }
 
-/// Shared first-divergence slot (smallest report wins is irrelevant — any
-/// one proves corruption).
+/// Shared divergence slot. Any one report proves corruption; the one
+/// with the fewest steps is kept, so the report does not depend on which
+/// worker happened to detect the corruption first.
 #[derive(Debug, Default)]
 struct DivergedCell(parking_lot::Mutex<Option<DispatcherDiverged>>);
 
@@ -82,7 +84,7 @@ impl DivergedCell {
     }
     fn record(&self, d: DispatcherDiverged) {
         let mut slot = self.0.lock();
-        if slot.is_none() {
+        if slot.as_ref().is_none_or(|kept| d.steps < kept.steps) {
             *slot = Some(d);
         }
     }
@@ -93,26 +95,13 @@ impl DivergedCell {
 
 const NO_QUIT: usize = usize::MAX;
 
-/// General-1 with an explicit termination step. See [`general1`].
-pub fn general1_until<T, B>(
-    pool: &Pool,
-    list: &ListArena<T>,
-    cfg: GeneralConfig,
-    body: B,
-) -> GeneralOutcome
-where
-    T: Sync,
-    B: Fn(usize, NodeId) -> Step + Sync,
-{
-    general1_until_rec(pool, list, cfg, &NoopRecorder, body)
-}
-
-/// [`general1_until`] with observability: the time blocked on the
-/// dispatcher lock, the critical-section hold, the single `next()` hop per
-/// claim, each body execution, QUIT broadcast and end-of-loop join are
-/// reported to `rec`. With [`NoopRecorder`] — which is what
-/// [`general1_until`] passes — every probe compiles away.
-pub fn general1_until_rec<T, B, R>(
+/// General-1: serialize accesses to `next()` with a lock; the remainder
+/// runs outside the critical section. Iterations issue in lock order.
+///
+/// The time blocked on the dispatcher lock, the critical-section hold, the
+/// single `next()` hop per claim, each body execution, QUIT broadcast and
+/// end-of-loop join are reported to `rec`.
+pub fn general1<T, B, R>(
     pool: &Pool,
     list: &ListArena<T>,
     cfg: GeneralConfig,
@@ -232,26 +221,10 @@ where
     out
 }
 
-/// General-1: serialize accesses to `next()` with a lock; the remainder
-/// runs outside the critical section. Iterations issue in lock order.
-pub fn general1<T, B>(
-    pool: &Pool,
-    list: &ListArena<T>,
-    cfg: GeneralConfig,
-    body: B,
-) -> GeneralOutcome
-where
-    T: Sync,
-    B: Fn(usize, NodeId) + Sync,
-{
-    general1_until(pool, list, cfg, |i, n| {
-        body(i, n);
-        Step::Continue
-    })
-}
-
-/// General-2 with an explicit termination step. See [`general2`].
-pub fn general2_until<T, B>(
+/// General-2: static cyclic assignment — processor `vpn` privately
+/// traverses the entire list and executes iterations `vpn, vpn+p, …`. No
+/// locks, no shared dispatch; `p × n` total hops.
+pub fn general2<T, B>(
     pool: &Pool,
     list: &ListArena<T>,
     cfg: GeneralConfig,
@@ -321,45 +294,14 @@ where
     out
 }
 
-/// General-2: static cyclic assignment — processor `vpn` privately
-/// traverses the entire list and executes iterations `vpn, vpn+p, …`. No
-/// locks, no shared dispatch; `p × n` total hops.
-pub fn general2<T, B>(
-    pool: &Pool,
-    list: &ListArena<T>,
-    cfg: GeneralConfig,
-    body: B,
-) -> GeneralOutcome
-where
-    T: Sync,
-    B: Fn(usize, NodeId) + Sync,
-{
-    general2_until(pool, list, cfg, |i, n| {
-        body(i, n);
-        Step::Continue
-    })
-}
-
-/// General-3 with an explicit termination step. See [`general3`].
-pub fn general3_until<T, B>(
-    pool: &Pool,
-    list: &ListArena<T>,
-    cfg: GeneralConfig,
-    body: B,
-) -> GeneralOutcome
-where
-    T: Sync,
-    B: Fn(usize, NodeId) -> Step + Sync,
-{
-    general3_until_rec(pool, list, cfg, &NoopRecorder, body)
-}
-
-/// [`general3_until`] with observability: each lock-free claim, private
-/// cursor catch-up (the `next()` hops with their measured cost), body
-/// execution, QUIT broadcast and end-of-loop join are reported to `rec`.
-/// With [`NoopRecorder`] — which is what [`general3_until`] passes — every
-/// probe compiles away.
-pub fn general3_until_rec<T, B, R>(
+/// General-3: dynamic self-scheduling without locks — the paper's best
+/// general-recurrence method (Table 2's SPICE row: 4.9× vs General-1's
+/// 2.9× at p = 8).
+///
+/// Each lock-free claim, private cursor catch-up (the `next()` hops with
+/// their measured cost), body execution, QUIT broadcast and end-of-loop
+/// join are reported to `rec`.
+pub fn general3<T, B, R>(
     pool: &Pool,
     list: &ListArena<T>,
     cfg: GeneralConfig,
@@ -474,25 +416,6 @@ where
     out
 }
 
-/// General-3: dynamic self-scheduling without locks — the paper's best
-/// general-recurrence method (Table 2's SPICE row: 4.9× vs General-1's
-/// 2.9× at p = 8).
-pub fn general3<T, B>(
-    pool: &Pool,
-    list: &ListArena<T>,
-    cfg: GeneralConfig,
-    body: B,
-) -> GeneralOutcome
-where
-    T: Sync,
-    B: Fn(usize, NodeId) + Sync,
-{
-    general3_until(pool, list, cfg, |i, n| {
-        body(i, n);
-        Step::Continue
-    })
-}
-
 /// The Wu & Lewis loop-distribution baseline \[29\]: the dispatcher is
 /// evaluated sequentially into an array, then the remainder runs as a
 /// DOALL over the stored values. Works for any [`Dispatcher`]; `max`
@@ -505,7 +428,7 @@ where
     let values = crate::dispatch::evaluate_sequential(d, max);
     let n = values.len();
     let iterations = AtomicU64::new(0);
-    let out = doall_dynamic(pool, n, |i, _| {
+    let out = doall_dynamic(pool, n, ChunkPolicy::One, &NoopRecorder, |i, _| {
         body(i, &values[i]);
         iterations.fetch_add(1, Ordering::Relaxed);
         Step::Continue
@@ -521,7 +444,7 @@ where
 }
 
 /// Fault-tolerant General-3 (the Section 5 exception rule applied to the
-/// list strategies): runs [`general3_until_rec`]; on a contained worker
+/// list strategies): runs [`general3`]; on a contained worker
 /// panic, emits [`Event::SpecAbort`] with [`AbortReason::Exception`] and
 /// re-executes the surviving loop *sequentially* on the caller's thread
 /// over a guarded cursor. List bodies write each node's private output
@@ -530,7 +453,7 @@ where
 ///
 /// A corrupted (cyclic) list is **not** recoverable by re-execution: the
 /// divergence is reported as-is and the sequential pass is skipped.
-pub fn general3_recovering_rec<T, B, R>(
+pub fn general3_recovering<T, B, R>(
     pool: &Pool,
     list: &ListArena<T>,
     cfg: GeneralConfig,
@@ -542,7 +465,7 @@ where
     B: Fn(usize, NodeId) -> Step + Sync,
     R: Recorder,
 {
-    let out = general3_until_rec(pool, list, cfg, rec, &body);
+    let out = general3(pool, list, cfg, rec, &body);
     let Some(panic) = out.panic else {
         return out;
     };
@@ -588,20 +511,6 @@ where
     }
 }
 
-/// [`general3_recovering_rec`] without observability.
-pub fn general3_recovering<T, B>(
-    pool: &Pool,
-    list: &ListArena<T>,
-    cfg: GeneralConfig,
-    body: B,
-) -> GeneralOutcome
-where
-    T: Sync,
-    B: Fn(usize, NodeId) -> Step + Sync,
-{
-    general3_recovering_rec(pool, list, cfg, &NoopRecorder, body)
-}
-
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // indexing by iteration number is the semantics under test
 mod tests {
@@ -615,12 +524,13 @@ mod tests {
 
     fn run_and_collect<F>(n: usize, f: F) -> (Vec<u32>, GeneralOutcome)
     where
-        F: Fn(&Pool, &ListArena<usize>, &(dyn Fn(usize, NodeId) + Sync)) -> GeneralOutcome,
+        F: Fn(&Pool, &ListArena<usize>, &(dyn Fn(usize, NodeId) -> Step + Sync)) -> GeneralOutcome,
     {
         let list = ListArena::from_values_shuffled(0..n, 17);
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
         let out = f(&pool(), &list, &|_i, node| {
             hits[list[node]].fetch_add(1, Ordering::Relaxed);
+            Step::Continue
         });
         (
             hits.iter().map(|h| h.load(Ordering::Relaxed)).collect(),
@@ -630,8 +540,9 @@ mod tests {
 
     #[test]
     fn general1_visits_every_node_once() {
-        let (hits, out) =
-            run_and_collect(500, |p, l, b| general1(p, l, GeneralConfig::default(), b));
+        let (hits, out) = run_and_collect(500, |p, l, b| {
+            general1(p, l, GeneralConfig::default(), &NoopRecorder, b)
+        });
         assert!(hits.iter().all(|&h| h == 1));
         assert_eq!(out.iterations, 500);
         assert_eq!(out.hops, 500, "cooperative traversal: list walked once");
@@ -649,8 +560,9 @@ mod tests {
 
     #[test]
     fn general3_visits_every_node_once() {
-        let (hits, out) =
-            run_and_collect(500, |p, l, b| general3(p, l, GeneralConfig::default(), b));
+        let (hits, out) = run_and_collect(500, |p, l, b| {
+            general3(p, l, GeneralConfig::default(), &NoopRecorder, b)
+        });
         assert!(hits.iter().all(|&h| h == 1));
         assert_eq!(out.iterations, 500);
         assert!(
@@ -664,9 +576,16 @@ mod tests {
     fn iteration_indices_follow_logical_order() {
         let list = ListArena::from_values_shuffled(0..100usize, 3);
         let seen: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        general3(&pool(), &list, GeneralConfig::default(), |i, node| {
-            seen[i].store(list[node], Ordering::Relaxed);
-        });
+        general3(
+            &pool(),
+            &list,
+            GeneralConfig::default(),
+            &NoopRecorder,
+            |i, node| {
+                seen[i].store(list[node], Ordering::Relaxed);
+                Step::Continue
+            },
+        );
         // iteration i must process the i-th node in LOGICAL order, which
         // holds value i (the list was built from 0..100 in order)
         for i in 0..100 {
@@ -679,9 +598,9 @@ mod tests {
         let list = ListArena::from_values(0..100usize);
         let cfg = GeneralConfig { upper: Some(30) };
         for out in [
-            general1(&pool(), &list, cfg, |_, _| {}),
-            general2(&pool(), &list, cfg, |_, _| {}),
-            general3(&pool(), &list, cfg, |_, _| {}),
+            general1(&pool(), &list, cfg, &NoopRecorder, |_, _| Step::Continue),
+            general2(&pool(), &list, cfg, |_, _| Step::Continue),
+            general3(&pool(), &list, cfg, &NoopRecorder, |_, _| Step::Continue),
         ] {
             assert_eq!(out.iterations, 30);
         }
@@ -691,27 +610,39 @@ mod tests {
     fn until_variants_quit_early() {
         let list = ListArena::from_values(0..10_000usize);
         for out in [
-            general1_until(&pool(), &list, GeneralConfig::default(), |i, _| {
+            general1(
+                &pool(),
+                &list,
+                GeneralConfig::default(),
+                &NoopRecorder,
+                |i, _| {
+                    if i >= 100 {
+                        Step::Quit
+                    } else {
+                        Step::Continue
+                    }
+                },
+            ),
+            general2(&pool(), &list, GeneralConfig::default(), |i, _| {
                 if i >= 100 {
                     Step::Quit
                 } else {
                     Step::Continue
                 }
             }),
-            general2_until(&pool(), &list, GeneralConfig::default(), |i, _| {
-                if i >= 100 {
-                    Step::Quit
-                } else {
-                    Step::Continue
-                }
-            }),
-            general3_until(&pool(), &list, GeneralConfig::default(), |i, _| {
-                if i >= 100 {
-                    Step::Quit
-                } else {
-                    Step::Continue
-                }
-            }),
+            general3(
+                &pool(),
+                &list,
+                GeneralConfig::default(),
+                &NoopRecorder,
+                |i, _| {
+                    if i >= 100 {
+                        Step::Quit
+                    } else {
+                        Step::Continue
+                    }
+                },
+            ),
         ] {
             let q = out.quit.expect("must quit");
             assert!((100..104 + 100).contains(&q), "quit at {q}");
@@ -723,9 +654,23 @@ mod tests {
     fn empty_list_is_a_no_op() {
         let list: ListArena<usize> = ListArena::new();
         for out in [
-            general1(&pool(), &list, GeneralConfig::default(), |_, _| {}),
-            general2(&pool(), &list, GeneralConfig::default(), |_, _| {}),
-            general3(&pool(), &list, GeneralConfig::default(), |_, _| {}),
+            general1(
+                &pool(),
+                &list,
+                GeneralConfig::default(),
+                &NoopRecorder,
+                |_, _| Step::Continue,
+            ),
+            general2(&pool(), &list, GeneralConfig::default(), |_, _| {
+                Step::Continue
+            }),
+            general3(
+                &pool(),
+                &list,
+                GeneralConfig::default(),
+                &NoopRecorder,
+                |_, _| Step::Continue,
+            ),
         ] {
             assert_eq!(out.iterations, 0);
             assert_eq!(out.quit, None);
@@ -751,7 +696,7 @@ mod tests {
         let list = ListArena::from_values(0..200usize);
 
         let rec = BufferRecorder::new(4);
-        let out = general3_until_rec(&pool(), &list, GeneralConfig::default(), &rec, |_, _| {
+        let out = general3(&pool(), &list, GeneralConfig::default(), &rec, |_, _| {
             Step::Continue
         });
         let report = ProfileReport::from_trace(&rec.finish());
@@ -767,7 +712,7 @@ mod tests {
         report.check_conservation().expect("laws hold");
 
         let rec = BufferRecorder::new(4);
-        general1_until_rec(&pool(), &list, GeneralConfig::default(), &rec, |_, _| {
+        general1(&pool(), &list, GeneralConfig::default(), &rec, |_, _| {
             Step::Continue
         });
         let report = ProfileReport::from_trace(&rec.finish());
@@ -789,9 +734,21 @@ mod tests {
             Step::Continue
         };
         for out in [
-            general1_until(&pool(), &list, GeneralConfig::default(), faulty),
-            general2_until(&pool(), &list, GeneralConfig::default(), faulty),
-            general3_until(&pool(), &list, GeneralConfig::default(), faulty),
+            general1(
+                &pool(),
+                &list,
+                GeneralConfig::default(),
+                &NoopRecorder,
+                faulty,
+            ),
+            general2(&pool(), &list, GeneralConfig::default(), faulty),
+            general3(
+                &pool(),
+                &list,
+                GeneralConfig::default(),
+                &NoopRecorder,
+                faulty,
+            ),
         ] {
             let wp = out.panic.as_ref().expect("panic must be reported");
             assert_eq!(wp.iter, Some(123));
@@ -808,9 +765,23 @@ mod tests {
         let target = list.nth_from(list.head().unwrap(), 50).unwrap();
         list.corrupt_link(tail, target);
         for out in [
-            general1(&pool(), &list, GeneralConfig::default(), |_, _| {}),
-            general2(&pool(), &list, GeneralConfig::default(), |_, _| {}),
-            general3(&pool(), &list, GeneralConfig::default(), |_, _| {}),
+            general1(
+                &pool(),
+                &list,
+                GeneralConfig::default(),
+                &NoopRecorder,
+                |_, _| Step::Continue,
+            ),
+            general2(&pool(), &list, GeneralConfig::default(), |_, _| {
+                Step::Continue
+            }),
+            general3(
+                &pool(),
+                &list,
+                GeneralConfig::default(),
+                &NoopRecorder,
+                |_, _| Step::Continue,
+            ),
         ] {
             let d = out.diverged.expect("corruption must be detected");
             assert!(d.steps <= 4 * 201, "bounded traversal: {} hops", d.steps);
@@ -827,8 +798,8 @@ mod tests {
         list.corrupt_link(tail, list.head().unwrap());
         let cfg = GeneralConfig { upper: Some(100) };
         for out in [
-            general1(&pool(), &list, cfg, |_, _| {}),
-            general3(&pool(), &list, cfg, |_, _| {}),
+            general1(&pool(), &list, cfg, &NoopRecorder, |_, _| Step::Continue),
+            general3(&pool(), &list, cfg, &NoopRecorder, |_, _| Step::Continue),
         ] {
             assert_eq!(out.iterations, 100);
             assert!(out.diverged.is_none(), "cap reached first");
@@ -844,14 +815,13 @@ mod tests {
         let slots: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect();
         let armed = AtomicBool::new(true);
         let rec = BufferRecorder::new(4);
-        let out =
-            general3_recovering_rec(&pool(), &list, GeneralConfig::default(), &rec, |i, node| {
-                if i == 150 && armed.swap(false, Ordering::SeqCst) {
-                    panic!("transient fault");
-                }
-                slots[i].store(list[node], Ordering::Relaxed);
-                Step::Continue
-            });
+        let out = general3_recovering(&pool(), &list, GeneralConfig::default(), &rec, |i, node| {
+            if i == 150 && armed.swap(false, Ordering::SeqCst) {
+                panic!("transient fault");
+            }
+            slots[i].store(list[node], Ordering::Relaxed);
+            Step::Continue
+        });
         assert!(out.recovered);
         assert_eq!(out.panic.as_ref().unwrap().message, "transient fault");
         assert_eq!(out.iterations, n, "fallback covers the whole list");
@@ -865,9 +835,13 @@ mod tests {
     #[test]
     fn general3_recovering_passes_clean_runs_through() {
         let list = ListArena::from_values(0..100usize);
-        let out = general3_recovering(&pool(), &list, GeneralConfig::default(), |_, _| {
-            Step::Continue
-        });
+        let out = general3_recovering(
+            &pool(),
+            &list,
+            GeneralConfig::default(),
+            &NoopRecorder,
+            |_, _| Step::Continue,
+        );
         assert!(!out.recovered);
         assert_eq!(out.iterations, 100);
     }
@@ -878,17 +852,24 @@ mod tests {
         // sequential traversal's
         let list = ListArena::from_values_shuffled((0..777u64).map(|x| x * x), 23);
         let expect: u64 = list.iter().map(|(_, &v)| v).sum();
-        type Body<'a> = &'a (dyn Fn(usize, NodeId) + Sync);
+        type Body<'a> = &'a (dyn Fn(usize, NodeId) -> Step + Sync);
         let sum_with = |f: &dyn Fn(Body<'_>) -> GeneralOutcome| {
             let total = AtomicU64::new(0);
             f(&|_i, node| {
                 total.fetch_add(list[node], Ordering::Relaxed);
+                Step::Continue
             });
             total.load(Ordering::Relaxed)
         };
         let cfg = GeneralConfig::default();
-        assert_eq!(sum_with(&|b| general1(&pool(), &list, cfg, b)), expect);
+        assert_eq!(
+            sum_with(&|b| general1(&pool(), &list, cfg, &NoopRecorder, b)),
+            expect
+        );
         assert_eq!(sum_with(&|b| general2(&pool(), &list, cfg, b)), expect);
-        assert_eq!(sum_with(&|b| general3(&pool(), &list, cfg, b)), expect);
+        assert_eq!(
+            sum_with(&|b| general3(&pool(), &list, cfg, &NoopRecorder, b)),
+            expect
+        );
     }
 }

@@ -14,7 +14,9 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 use wlp_obs::{Event, NoopRecorder, Recorder};
-use wlp_runtime::{doall_dynamic, doall_static_cyclic, parallel_min, Pool, Step, WorkerPanic};
+use wlp_runtime::{
+    doall_dynamic, doall_static_cyclic, parallel_min, ChunkPolicy, Pool, Step, WorkerPanic,
+};
 
 /// Result of an induction-method execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,21 +43,13 @@ pub struct InductionOutcome {
 /// Iterations above a processor's local minimum are skipped, but
 /// processors do not learn each other's minima until the final reduction —
 /// the overshoot cost of not having `QUIT`.
-pub fn induction1<TF, BF>(pool: &Pool, upper: usize, term: TF, body: BF) -> InductionOutcome
-where
-    TF: Fn(usize) -> bool + Sync,
-    BF: Fn(usize, usize) + Sync,
-{
-    induction1_rec(pool, upper, &NoopRecorder, term, body)
-}
-
-/// [`induction1`] with observability: each claim, terminator-only
-/// evaluation (`TermTest`), executed body and the closing join are
-/// reported to `rec`. Terminator evaluations fused with a body are folded
-/// into the body's `IterExecuted` cost, mirroring the simulator's
-/// convention. With [`NoopRecorder`] — which is what [`induction1`]
-/// passes — every probe compiles away.
-pub fn induction1_rec<TF, BF, R>(
+///
+/// Each claim, terminator-only evaluation (`TermTest`), executed body and
+/// the closing join are reported to `rec`. Terminator evaluations fused
+/// with a body are folded into the body's `IterExecuted` cost, mirroring
+/// the simulator's convention. With [`wlp_obs::NoopRecorder`] every probe
+/// compiles away.
+pub fn induction1<TF, BF, R>(
     pool: &Pool,
     upper: usize,
     rec: &R,
@@ -71,7 +65,7 @@ where
         .map(|_| AtomicUsize::new(usize::MAX))
         .collect();
     let executed = AtomicU64::new(0);
-    let out = doall_dynamic(pool, upper, |i, vpn| {
+    let out = doall_dynamic(pool, upper, ChunkPolicy::One, &NoopRecorder, |i, vpn| {
         if R::ENABLED {
             rec.record(
                 vpn,
@@ -130,31 +124,24 @@ where
 /// Induction-2: DOALL with the software `QUIT` — iterations larger than the
 /// smallest quitting one are not begun. Ordered (dynamic) issue.
 ///
+/// Each claim, terminator-only evaluation, executed body, QUIT broadcast
+/// and the closing join are reported to `rec`. With
+/// [`wlp_obs::NoopRecorder`] every probe compiles away.
+///
 /// ```
 /// use wlp_core::induction::induction2;
+/// use wlp_obs::NoopRecorder;
 /// use wlp_runtime::Pool;
 /// use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// // while !(i*i > 1000) { work(i) } — an RI threshold terminator
 /// let sum = AtomicU64::new(0);
-/// let out = induction2(&Pool::new(4), 1_000_000, |i| i * i > 1000,
+/// let out = induction2(&Pool::new(4), 1_000_000, &NoopRecorder, |i| i * i > 1000,
 ///     |i, _vpn| { sum.fetch_add(i as u64, Ordering::Relaxed); });
 /// assert_eq!(out.last_valid, Some(32));          // 32² = 1024
 /// assert_eq!(sum.load(Ordering::Relaxed), (0..32).sum::<u64>());
 /// ```
-pub fn induction2<TF, BF>(pool: &Pool, upper: usize, term: TF, body: BF) -> InductionOutcome
-where
-    TF: Fn(usize) -> bool + Sync,
-    BF: Fn(usize, usize) + Sync,
-{
-    induction2_rec(pool, upper, &NoopRecorder, term, body)
-}
-
-/// [`induction2`] with observability: each claim, terminator-only
-/// evaluation, executed body, QUIT broadcast and the closing join are
-/// reported to `rec`. With [`NoopRecorder`] — which is what
-/// [`induction2`] passes — every probe compiles away.
-pub fn induction2_rec<TF, BF, R>(
+pub fn induction2<TF, BF, R>(
     pool: &Pool,
     upper: usize,
     rec: &R,
@@ -167,7 +154,7 @@ where
     R: Recorder,
 {
     let executed = AtomicU64::new(0);
-    let out = doall_dynamic(pool, upper, |i, vpn| {
+    let out = doall_dynamic(pool, upper, ChunkPolicy::One, &NoopRecorder, |i, vpn| {
         if R::ENABLED {
             rec.record(
                 vpn,
@@ -258,7 +245,7 @@ mod tests {
 
     #[test]
     fn induction1_finds_last_valid_iteration() {
-        let out = induction1(&pool(), 10_000, |i| i >= 137, |_, _| {});
+        let out = induction1(&pool(), 10_000, &NoopRecorder, |i| i >= 137, |_, _| {});
         assert_eq!(out.last_valid, Some(137));
     }
 
@@ -268,6 +255,7 @@ mod tests {
         let out = induction1(
             &pool(),
             1000,
+            &NoopRecorder,
             |i| i >= 600,
             |i, _| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
@@ -285,14 +273,14 @@ mod tests {
 
     #[test]
     fn induction1_no_termination_runs_full_range() {
-        let out = induction1(&pool(), 500, |_| false, |_, _| {});
+        let out = induction1(&pool(), 500, &NoopRecorder, |_| false, |_, _| {});
         assert_eq!(out.last_valid, None);
         assert_eq!(out.executed, 500);
     }
 
     #[test]
     fn induction2_quits_early() {
-        let out = induction2(&pool(), 1_000_000, |i| i >= 50, |_, _| {});
+        let out = induction2(&pool(), 1_000_000, &NoopRecorder, |i| i >= 50, |_, _| {});
         assert_eq!(out.last_valid, Some(50));
         assert_eq!(out.executed, 50, "exactly the valid bodies ran");
         // QUIT bounds issue tightly compared to the 1M range
@@ -322,6 +310,7 @@ mod tests {
         let out = induction2(
             &pool(),
             1000,
+            &NoopRecorder,
             |_| false,
             |i, _| {
                 if i == 77 {
@@ -337,6 +326,7 @@ mod tests {
         let out = induction1(
             &pool(),
             1000,
+            &NoopRecorder,
             |_| false,
             |i, _| {
                 if i == 77 {
@@ -350,8 +340,8 @@ mod tests {
     #[test]
     fn induction_methods_agree_on_last_valid() {
         for exit in [0usize, 1, 7, 99] {
-            let a = induction1(&pool(), 200, move |i| i >= exit, |_, _| {});
-            let b = induction2(&pool(), 200, move |i| i >= exit, |_, _| {});
+            let a = induction1(&pool(), 200, &NoopRecorder, move |i| i >= exit, |_, _| {});
+            let b = induction2(&pool(), 200, &NoopRecorder, move |i| i >= exit, |_, _| {});
             assert_eq!(a.last_valid, Some(exit));
             assert_eq!(b.last_valid, Some(exit));
         }
@@ -367,6 +357,7 @@ mod tests {
         let out = induction1(
             &pool(),
             1000,
+            &NoopRecorder,
             |i| flag[i].load(Ordering::Relaxed) == 1 && i >= 400,
             |i, _| {
                 flag[i].store(1, Ordering::Relaxed);

@@ -49,20 +49,18 @@ pub use constructs::{run_twice_while, while_doacross, while_doall, while_doany};
 pub use cost::{CostModel, Decision};
 pub use dispatch::{AffineRecurrence, InductionDispatcher, ListDispatcher};
 pub use general::{
-    general1, general1_until_rec, general2, general3, general3_recovering, general3_recovering_rec,
-    general3_until_rec, wu_lewis_distribution, GeneralConfig, GeneralOutcome,
+    general1, general2, general3, general3_recovering, wu_lewis_distribution, GeneralConfig,
+    GeneralOutcome,
 };
-pub use induction::{induction1, induction1_rec, induction2, induction2_rec, InductionOutcome};
+pub use induction::{induction1, induction2, InductionOutcome};
 pub use recover::{run_with_recovery, ParallelAttempt, RecoveryOutcome};
 pub use speculate::{
-    run_twice_speculative, speculative_while, speculative_while_chunked,
-    speculative_while_chunked_rec, speculative_while_group, speculative_while_privatized,
-    speculative_while_rec, speculative_while_strips, speculative_while_windowed, GroupAccess,
-    SpecOutcome, SpeculativeArray, StripSpecOutcome,
+    run_twice_speculative, speculative_while, speculative_while_group,
+    speculative_while_privatized, speculative_while_strips, speculative_while_windowed,
+    GroupAccess, SpecOutcome, SpeculativeArray, StripSpecOutcome,
 };
 pub use strategy::{
-    governed_while, governed_while_rec, hedged_execute, CancelToken, GovernedOutcome, HedgeWinner,
-    StatsStamping,
+    governed_while, hedged_execute, CancelToken, GovernedOutcome, HedgeWinner, StatsStamping,
 };
 pub use taxonomy::{classify, DispatcherClass, Parallelism, TaxonomyCell, TerminatorClass};
 pub use undo::VersionedArray;

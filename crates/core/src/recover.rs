@@ -234,7 +234,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use wlp_obs::{BufferRecorder, NoopRecorder, ProfileReport};
-    use wlp_runtime::{doall_dynamic, Pool, Step};
+    use wlp_runtime::{doall_dynamic, ChunkPolicy, Pool, Step};
 
     #[test]
     fn clean_attempt_is_kept_without_restore() {
@@ -243,10 +243,16 @@ mod tests {
             &arr,
             &NoopRecorder,
             || {
-                doall_dynamic(&Pool::new(2), 16, |i, _| {
-                    arr.write(i, 1, i);
-                    Step::Continue
-                })
+                doall_dynamic(
+                    &Pool::new(2),
+                    16,
+                    ChunkPolicy::One,
+                    &NoopRecorder,
+                    |i, _| {
+                        arr.write(i, 1, i);
+                        Step::Continue
+                    },
+                )
                 .into()
             },
             || unreachable!("clean runs never fall back"),
@@ -265,13 +271,19 @@ mod tests {
             &arr,
             &rec,
             || {
-                doall_dynamic(&Pool::new(4), 64, |i, _| {
-                    if i == 20 {
-                        panic!("injected");
-                    }
-                    arr.write(i, i as i64, i);
-                    Step::Continue
-                })
+                doall_dynamic(
+                    &Pool::new(4),
+                    64,
+                    ChunkPolicy::One,
+                    &NoopRecorder,
+                    |i, _| {
+                        if i == 20 {
+                            panic!("injected");
+                        }
+                        arr.write(i, i as i64, i);
+                        Step::Continue
+                    },
+                )
                 .into()
             },
             || {

@@ -20,6 +20,15 @@
 //! private (copy-in) view of the array, records a time-stamped write trail,
 //! and copies out last values on success — the mechanism for arrays whose
 //! memory-related dependences privatization removes.
+//!
+//! [`speculative_while`], [`speculative_while_windowed`],
+//! [`speculative_while_group`] and [`speculative_while_privatized`] share
+//! one private attempt path: the per-iteration guard (budget check,
+//! terminator, body, a panic turned into a QUIT) and the settling of the
+//! finished attempt (an abort classified as timeout, then exception, then
+//! budget, then dependence; restore or undo; the [`SpecOutcome`]). They
+//! differ only in scheduler, access handle, and what follows a failed
+//! attempt.
 
 use crate::undo::VersionedArray;
 use std::collections::HashMap;
@@ -28,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 use wlp_obs::{AbortReason, CachePadded, Event, NoopRecorder, Recorder};
 use wlp_pd::{copy_out_last_values, IterMarker, IterMarkers, PdVerdict, Shadow, TrailSet};
-use wlp_runtime::{doall_dynamic, doall_dynamic_chunked, ChunkPolicy, Pool, Step};
+use wlp_runtime::{doall_dynamic, doall_windowed, ChunkPolicy, DoallOutcome, Pool, Step};
 
 /// An undo-log budget for one speculative attempt: a cap on the number of
 /// stamped (restorable) writes. Exceeding it aborts the speculation with
@@ -230,95 +239,263 @@ pub struct SpecOutcome {
     pub undone: usize,
 }
 
+/// The per-iteration guard and the bookkeeping every speculative attempt
+/// shares, whatever its scheduler and access handle: the exception flag,
+/// per-worker executed counters, the undo-log budget probe and the
+/// recorder.
+struct Attempt<'r, R, B> {
+    rec: &'r R,
+    over_budget: B,
+    exception: AtomicBool,
+    // one counter per worker: a shared one would bounce between cores
+    // on every iteration
+    executed: Vec<CachePadded<AtomicU64>>,
+}
+
+impl<'r, R: Recorder, B: Fn() -> bool> Attempt<'r, R, B> {
+    /// An attempt on `pool`; `over_budget` reports whether any of its
+    /// arrays has exhausted its undo-log budget.
+    fn new(pool: &Pool, rec: &'r R, over_budget: B) -> Self {
+        Attempt {
+            rec,
+            over_budget,
+            exception: AtomicBool::new(false),
+            executed: (0..pool.size())
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
+        }
+    }
+
+    /// Runs iteration `i` as one DOALL step: stops issue once the budget
+    /// is spent, evaluates the terminator and then the body on the handle
+    /// `access` builds, and turns a panic into a QUIT that aborts the
+    /// attempt. Reports the claim, the terminator hit or the body's time,
+    /// and the QUIT to the recorder.
+    #[inline]
+    fn step<A, MK, TF, BF>(&self, i: usize, vpn: usize, access: MK, term: &TF, body: &BF) -> Step
+    where
+        MK: FnOnce() -> A,
+        TF: Fn(usize, &mut A) -> bool,
+        BF: Fn(usize, &mut A),
+    {
+        if (self.over_budget)() {
+            // Stop issuing; settling rolls everything back. No events:
+            // this is not a terminator hit.
+            return Step::Quit;
+        }
+        let iter = i as u64;
+        if R::ENABLED {
+            self.rec.record(vpn, Event::IterClaimed { iter, cost: 0 });
+        }
+        let mut acc = access();
+        let t0 = R::ENABLED.then(Instant::now);
+        let step = catch_unwind(AssertUnwindSafe(|| {
+            if term(i, &mut acc) {
+                Step::Quit
+            } else {
+                body(i, &mut acc);
+                self.executed[vpn].fetch_add(1, Ordering::Relaxed);
+                Step::Continue
+            }
+        }));
+        let cost = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        match step {
+            Ok(Step::Quit) => {
+                if R::ENABLED {
+                    self.rec.record(vpn, Event::TermTest { iter, cost });
+                    self.rec.record(vpn, Event::Quit { iter });
+                }
+                Step::Quit
+            }
+            Ok(Step::Continue) => {
+                if R::ENABLED {
+                    self.rec.record(vpn, Event::IterExecuted { iter, cost });
+                }
+                Step::Continue
+            }
+            Err(_) => {
+                self.exception.store(true, Ordering::Release);
+                if R::ENABLED {
+                    self.rec.record(vpn, Event::Quit { iter });
+                }
+                Step::Quit
+            }
+        }
+    }
+
+    /// Settles a finished attempt whose DOALL reported `out`. The arrays
+    /// `marked` selects are the ones under the PD test, and the attempt is
+    /// kept only when every one of them passes. An abort is attributed to
+    /// a watchdog timeout, then an exception, then an exhausted budget,
+    /// then a dependence, in that order (a timed-out region may also carry
+    /// panics from its drain; the timeout caused them to surface). A
+    /// failed attempt restores the tested arrays to their checkpoint; a
+    /// kept one undoes the writes of iterations past the exit.
+    ///
+    /// With `privatized`, validity is the privatization criterion and the
+    /// attempt wrote only private overlays: nothing is restored or undone,
+    /// and copying out a kept attempt's values is the caller's.
+    /// Re-execution of a failed attempt is always the caller's.
+    fn settle<T>(
+        &self,
+        pool: &Pool,
+        out: &DoallOutcome,
+        arrays: &[SpeculativeArray<T>],
+        marked: &[bool],
+        privatized: bool,
+    ) -> SpecOutcome
+    where
+        T: Copy + Send + Sync,
+    {
+        let rec = self.rec;
+        let tested = || {
+            arrays
+                .iter()
+                .zip(marked)
+                .filter(|(_, &m)| m)
+                .map(|(a, _)| a)
+        };
+        // the runtime-level catch is the backstop: a panic that escapes the
+        // per-body catch (e.g. inside a probe) still aborts the speculation
+        let exception = self.exception.load(Ordering::Acquire) || out.panic.is_some();
+        let executed = self
+            .executed
+            .iter()
+            .map(|e| e.load(Ordering::Relaxed))
+            .sum();
+        let last_valid = out.quit;
+        let early_abort = if let Some(to) = &out.timeout {
+            if R::ENABLED {
+                rec.record(
+                    to.vpn,
+                    Event::TimeoutAbort {
+                        vpn: to.vpn as u64,
+                        elapsed: to.elapsed.as_nanos() as u64,
+                    },
+                );
+            }
+            Some(AbortReason::Timeout)
+        } else if exception {
+            Some(AbortReason::Exception)
+        } else if (self.over_budget)() {
+            Some(AbortReason::Budget)
+        } else {
+            None
+        };
+        let verdict = early_abort.is_none().then(|| {
+            let mut merged = PdVerdict {
+                doall: true,
+                privatized_doall: true,
+                conflicts: Vec::new(),
+            };
+            for a in tested() {
+                let v = a.shadow.analyze_rec(pool, last_valid, 16, rec);
+                merged.doall &= v.doall;
+                merged.privatized_doall &= v.privatized_doall;
+                merged.conflicts.extend(v.conflicts);
+            }
+            merged
+        });
+        let valid = verdict.as_ref().is_some_and(|v| {
+            if privatized {
+                v.privatized_doall
+            } else {
+                v.doall
+            }
+        });
+        let mut outcome = SpecOutcome {
+            verdict,
+            committed_parallel: valid,
+            reexecuted_sequentially: false,
+            exception,
+            abort: None,
+            last_valid,
+            executed_parallel: executed,
+            undone: 0,
+        };
+
+        let u0 = R::ENABLED.then(Instant::now);
+        let since = |t: Option<Instant>| t.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        if !valid {
+            let reason = early_abort.unwrap_or(AbortReason::Dependence);
+            if !privatized {
+                for a in tested() {
+                    a.versioned.restore_all();
+                }
+                if R::ENABLED {
+                    let elems = tested().map(|a| a.len() as u64).sum();
+                    let cost = since(u0);
+                    rec.record(0, Event::UndoRestore { elems, cost });
+                }
+            }
+            if R::ENABLED {
+                let discarded = executed;
+                rec.record(0, Event::SpecAbort { reason, discarded });
+            }
+            outcome.abort = Some(reason);
+            return outcome;
+        }
+
+        if !privatized {
+            if let Some(li) = last_valid {
+                outcome.undone = tested().map(|a| a.versioned.undo_past(li)).sum();
+            }
+            if R::ENABLED && outcome.undone > 0 {
+                let elems = outcome.undone as u64;
+                let cost = since(u0);
+                rec.record(0, Event::UndoRestore { elems, cost });
+            }
+        }
+        if R::ENABLED {
+            // every iteration below the exit executed a body, so the kept
+            // share is exactly `last_valid` (or everything, with no exit)
+            let committed = last_valid.map_or(executed, |li| (li as u64).min(executed));
+            let undone = executed - committed;
+            rec.record(0, Event::SpecCommit { committed, undone });
+        }
+        outcome
+    }
+}
+
 /// Speculatively executes `while !term(i, A) { body(i, A) }` as a DOALL
 /// over `0..upper`, testing at run time that the iterations were
 /// independent. On test failure or exception, the array is restored and
 /// the loop re-executed sequentially — the paper's complete recipe.
+///
+/// `policy` sets how many iterations one claim of the underlying
+/// [`doall_dynamic`] grants, trading shared-counter traffic for a wider
+/// in-flight span. Under an RV terminator the extra span means more
+/// overshoot to undo on commit — the chunk size is the knob the paper's
+/// `T_a` analysis prices.
+///
+/// The checkpoint volume (`Backup`), each claim, terminator-only
+/// evaluation, executed body and QUIT, the PD analysis (`PdAnalyze`, via
+/// [`Shadow::analyze_rec`](wlp_pd::Shadow::analyze_rec)), every restore
+/// (`UndoRestore`) and the final `SpecCommit`/`SpecAbort` verdict are
+/// reported to `rec`. Sequential re-execution after an abort is *not*
+/// recorded as busy time: it happens on the calling thread and shows up
+/// as idle in the profile, exactly like the paper's serial fallback.
+/// With [`NoopRecorder`] every probe compiles away.
 ///
 /// A panic during sequential (re-)execution is a *real* exception and
 /// propagates.
 ///
 /// ```
 /// use wlp_core::speculate::{speculative_while, SpeculativeArray};
-/// use wlp_runtime::Pool;
+/// use wlp_obs::NoopRecorder;
+/// use wlp_runtime::{ChunkPolicy, Pool};
 ///
 /// // A[idx[i]] *= 2 through a run-time subscript array: unanalyzable
 /// // statically, provably independent at run time (idx is a permutation)
 /// let idx = [3usize, 1, 4, 0, 2];
 /// let arr = SpeculativeArray::new(vec![1i64; 5]);
-/// let out = speculative_while(&Pool::new(2), 5, &arr,
+/// let out = speculative_while(&Pool::new(2), 5, ChunkPolicy::One, &arr, &NoopRecorder,
 ///     |_i, _a| false,
 ///     |i, a| { let v = a.read(idx[i]); a.write(idx[i], v * 2); });
 /// assert!(out.committed_parallel);
 /// assert_eq!(arr.snapshot(), vec![2; 5]);
 /// ```
-pub fn speculative_while<T, TF, BF>(
-    pool: &Pool,
-    upper: usize,
-    arr: &SpeculativeArray<T>,
-    term: TF,
-    body: BF,
-) -> SpecOutcome
-where
-    T: Copy + Send + Sync,
-    TF: Fn(usize, &mut SpecAccess<'_, T>) -> bool + Sync,
-    BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
-{
-    speculative_while_rec(pool, upper, arr, &NoopRecorder, term, body)
-}
-
-/// [`speculative_while`] with a self-scheduling [`ChunkPolicy`]: the
-/// underlying DOALL claims chunks of iterations instead of one at a time,
-/// trading shared-counter traffic for a wider in-flight span. Under an RV
-/// terminator the extra span means more overshoot to undo on commit —
-/// the chunk size is the knob the paper's `T_a` analysis prices.
-pub fn speculative_while_chunked<T, TF, BF>(
-    pool: &Pool,
-    upper: usize,
-    policy: ChunkPolicy,
-    arr: &SpeculativeArray<T>,
-    term: TF,
-    body: BF,
-) -> SpecOutcome
-where
-    T: Copy + Send + Sync,
-    TF: Fn(usize, &mut SpecAccess<'_, T>) -> bool + Sync,
-    BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
-{
-    speculative_while_chunked_rec(pool, upper, policy, arr, &NoopRecorder, term, body)
-}
-
-/// [`speculative_while`] with observability: the checkpoint volume
-/// (`Backup`), each claim, terminator-only evaluation, executed body and
-/// QUIT, the PD analysis (`PdAnalyze`, via
-/// [`Shadow::analyze_rec`](wlp_pd::Shadow::analyze_rec)), every restore
-/// (`UndoRestore`) and the final `SpecCommit`/`SpecAbort` verdict are
-/// reported to `rec`. Sequential re-execution after an abort is *not*
-/// recorded as busy time: it happens on the calling thread and shows up
-/// as idle in the profile, exactly like the paper's serial fallback.
-/// With [`NoopRecorder`] — which is what [`speculative_while`] passes —
-/// every probe compiles away.
-pub fn speculative_while_rec<T, TF, BF, R>(
-    pool: &Pool,
-    upper: usize,
-    arr: &SpeculativeArray<T>,
-    rec: &R,
-    term: TF,
-    body: BF,
-) -> SpecOutcome
-where
-    T: Copy + Send + Sync,
-    TF: Fn(usize, &mut SpecAccess<'_, T>) -> bool + Sync,
-    BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
-    R: Recorder,
-{
-    speculative_while_chunked_rec(pool, upper, ChunkPolicy::One, arr, rec, term, body)
-}
-
-/// [`speculative_while_chunked`] with observability — the fully general
-/// driver the other `speculative_while*` entry points delegate to.
-#[allow(clippy::too_many_arguments)] // the superset driver: pool, range, policy, data, probe, loop
-pub fn speculative_while_chunked_rec<T, TF, BF, R>(
+pub fn speculative_while<T, TF, BF, R>(
     pool: &Pool,
     upper: usize,
     policy: ChunkPolicy,
@@ -336,216 +513,19 @@ where
     if R::ENABLED {
         // the checkpoint copy happened when the array was built; charge
         // its volume here so the report sees the backup side of Tb
-        rec.record(
-            0,
-            Event::Backup {
-                elems: arr.len() as u64,
-                cost: 0,
-            },
-        );
+        let elems = arr.len() as u64;
+        rec.record(0, Event::Backup { elems, cost: 0 });
     }
-    let exception = AtomicBool::new(false);
-    let executed = AtomicU64::new(0);
-
-    let out = doall_dynamic_chunked(pool, upper, policy, |i, vpn| {
-        if arr.budget_exceeded() {
-            // Stop issuing; the budget-abort path below rolls everything
-            // back. No events: this is not a terminator hit.
-            return Step::Quit;
-        }
-        if R::ENABLED {
-            rec.record(
-                vpn,
-                Event::IterClaimed {
-                    iter: i as u64,
-                    cost: 0,
-                },
-            );
-        }
-        let mut acc = arr.access(i);
-        let t0 = R::ENABLED.then(Instant::now);
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            if term(i, &mut acc) {
-                Step::Quit
-            } else {
-                body(i, &mut acc);
-                executed.fetch_add(1, Ordering::Relaxed);
-                Step::Continue
-            }
-        }));
-        match step {
-            Ok(Step::Quit) => {
-                if R::ENABLED {
-                    let cost = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    rec.record(
-                        vpn,
-                        Event::TermTest {
-                            iter: i as u64,
-                            cost,
-                        },
-                    );
-                    rec.record(vpn, Event::Quit { iter: i as u64 });
-                }
-                Step::Quit
-            }
-            Ok(s) => {
-                if R::ENABLED {
-                    let cost = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    rec.record(
-                        vpn,
-                        Event::IterExecuted {
-                            iter: i as u64,
-                            cost,
-                        },
-                    );
-                }
-                s
-            }
-            Err(_) => {
-                exception.store(true, Ordering::Release);
-                if R::ENABLED {
-                    rec.record(vpn, Event::Quit { iter: i as u64 });
-                }
-                Step::Quit
-            }
-        }
+    let attempt = Attempt::new(pool, rec, || arr.budget_exceeded());
+    let out = doall_dynamic(pool, upper, policy, &NoopRecorder, |i, vpn| {
+        attempt.step(i, vpn, || arr.access(i), &term, &body)
     });
-
-    // the runtime-level catch is the backstop: a panic that escapes the
-    // per-body catch (e.g. inside a probe) still aborts the speculation
-    let had_exception = exception.load(Ordering::Acquire) || out.panic.is_some();
-    let last_valid = out.quit;
-
-    // A watchdog expiry, a contained panic, or an exhausted budget all
-    // invalidate the parallel attempt the same way — restore the
-    // checkpoint, re-execute sequentially — but are *attributed*
-    // differently, in that precedence order (a timed-out region may also
-    // carry panics from its drain; the timeout caused them to surface).
-    let invalid = if let Some(to) = &out.timeout {
-        if R::ENABLED {
-            rec.record(
-                to.vpn,
-                Event::TimeoutAbort {
-                    vpn: to.vpn as u64,
-                    elapsed: to.elapsed.as_nanos() as u64,
-                },
-            );
-        }
-        Some(AbortReason::Timeout)
-    } else if had_exception {
-        Some(AbortReason::Exception)
-    } else if arr.budget_exceeded() {
-        Some(AbortReason::Budget)
-    } else {
-        None
-    };
-    if let Some(reason) = invalid {
-        let u0 = R::ENABLED.then(Instant::now);
-        arr.versioned.restore_all();
-        if R::ENABLED {
-            let cost = u0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            rec.record(
-                0,
-                Event::UndoRestore {
-                    elems: arr.len() as u64,
-                    cost,
-                },
-            );
-            rec.record(
-                0,
-                Event::SpecAbort {
-                    reason,
-                    discarded: executed.load(Ordering::Relaxed),
-                },
-            );
-        }
-        let lv = run_sequential(upper, arr, &term, &body);
-        return SpecOutcome {
-            verdict: None,
-            committed_parallel: false,
-            reexecuted_sequentially: true,
-            exception: had_exception,
-            abort: Some(reason),
-            last_valid: lv,
-            executed_parallel: executed.load(Ordering::Relaxed),
-            undone: 0,
-        };
+    let mut outcome = attempt.settle(pool, &out, std::slice::from_ref(arr), &[true], false);
+    if !outcome.committed_parallel {
+        outcome.last_valid = run_sequential(upper, arr, &term, &body);
+        outcome.reexecuted_sequentially = true;
     }
-
-    let verdict = arr.shadow.analyze_rec(pool, last_valid, 16, rec);
-    if !verdict.doall {
-        // cross-iteration dependences: the parallel result is invalid
-        let u0 = R::ENABLED.then(Instant::now);
-        arr.versioned.restore_all();
-        if R::ENABLED {
-            let cost = u0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            rec.record(
-                0,
-                Event::UndoRestore {
-                    elems: arr.len() as u64,
-                    cost,
-                },
-            );
-            rec.record(
-                0,
-                Event::SpecAbort {
-                    reason: AbortReason::Dependence,
-                    discarded: executed.load(Ordering::Relaxed),
-                },
-            );
-        }
-        let lv = run_sequential(upper, arr, &term, &body);
-        return SpecOutcome {
-            verdict: Some(verdict),
-            committed_parallel: false,
-            reexecuted_sequentially: true,
-            exception: false,
-            abort: Some(AbortReason::Dependence),
-            last_valid: lv,
-            executed_parallel: executed.load(Ordering::Relaxed),
-            undone: 0,
-        };
-    }
-
-    // valid: undo only the overshot iterations
-    let u0 = R::ENABLED.then(Instant::now);
-    let undone = match last_valid {
-        Some(li) => arr.versioned.undo_past(li),
-        None => 0,
-    };
-    if R::ENABLED {
-        let cost = u0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        if undone > 0 {
-            rec.record(
-                0,
-                Event::UndoRestore {
-                    elems: undone as u64,
-                    cost,
-                },
-            );
-        }
-        // every iteration below the exit executed a body, so the kept
-        // share is exactly `last_valid` (or everything, with no exit)
-        let exec = executed.load(Ordering::Relaxed);
-        let committed = last_valid.map_or(exec, |li| (li as u64).min(exec));
-        rec.record(
-            0,
-            Event::SpecCommit {
-                committed,
-                undone: exec - committed,
-            },
-        );
-    }
-    SpecOutcome {
-        verdict: Some(verdict),
-        committed_parallel: true,
-        reexecuted_sequentially: false,
-        exception: false,
-        abort: None,
-        last_valid,
-        executed_parallel: executed.load(Ordering::Relaxed),
-        undone,
-    }
+    outcome
 }
 
 /// [`speculative_while`] under the Section 8.2 sliding window: the span of
@@ -566,98 +546,16 @@ where
     TF: Fn(usize, &mut SpecAccess<'_, T>) -> bool + Sync,
     BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
 {
-    let exception = AtomicBool::new(false);
-    let executed = AtomicU64::new(0);
-
-    let (out, span) = wlp_runtime::doall_windowed(pool, upper, window, |i, _vpn| {
-        if arr.budget_exceeded() {
-            return Step::Quit;
-        }
-        let mut acc = arr.access(i);
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            if term(i, &mut acc) {
-                Step::Quit
-            } else {
-                body(i, &mut acc);
-                executed.fetch_add(1, Ordering::Relaxed);
-                Step::Continue
-            }
-        }));
-        match step {
-            Ok(s) => s,
-            Err(_) => {
-                exception.store(true, Ordering::Release);
-                Step::Quit
-            }
-        }
+    let attempt = Attempt::new(pool, &NoopRecorder, || arr.budget_exceeded());
+    let (out, span) = doall_windowed(pool, upper, window, &NoopRecorder, |i, vpn| {
+        attempt.step(i, vpn, || arr.access(i), &term, &body)
     });
-
-    let had_exception = exception.load(Ordering::Acquire) || out.panic.is_some();
-    let last_valid = out.quit;
-
-    let invalid = if out.timeout.is_some() {
-        Some(AbortReason::Timeout)
-    } else if had_exception {
-        Some(AbortReason::Exception)
-    } else if arr.budget_exceeded() {
-        Some(AbortReason::Budget)
-    } else {
-        None
-    };
-    if let Some(reason) = invalid {
-        arr.versioned.restore_all();
-        let lv = run_sequential(upper, arr, &term, &body);
-        return (
-            SpecOutcome {
-                verdict: None,
-                committed_parallel: false,
-                reexecuted_sequentially: true,
-                exception: had_exception,
-                abort: Some(reason),
-                last_valid: lv,
-                executed_parallel: executed.load(Ordering::Relaxed),
-                undone: 0,
-            },
-            span,
-        );
+    let mut outcome = attempt.settle(pool, &out, std::slice::from_ref(arr), &[true], false);
+    if !outcome.committed_parallel {
+        outcome.last_valid = run_sequential(upper, arr, &term, &body);
+        outcome.reexecuted_sequentially = true;
     }
-
-    let verdict = arr.shadow.analyze(pool, last_valid, 16);
-    if !verdict.doall {
-        arr.versioned.restore_all();
-        let lv = run_sequential(upper, arr, &term, &body);
-        return (
-            SpecOutcome {
-                verdict: Some(verdict),
-                committed_parallel: false,
-                reexecuted_sequentially: true,
-                exception: false,
-                abort: Some(AbortReason::Dependence),
-                last_valid: lv,
-                executed_parallel: executed.load(Ordering::Relaxed),
-                undone: 0,
-            },
-            span,
-        );
-    }
-
-    let undone = match last_valid {
-        Some(li) => arr.versioned.undo_past(li),
-        None => 0,
-    };
-    (
-        SpecOutcome {
-            verdict: Some(verdict),
-            committed_parallel: true,
-            reexecuted_sequentially: false,
-            exception: false,
-            abort: None,
-            last_valid,
-            executed_parallel: executed.load(Ordering::Relaxed),
-            undone,
-        },
-        span,
-    )
+    (outcome, span)
 }
 
 /// Per-iteration view of *several* arrays at once. Real loops usually
@@ -711,7 +609,7 @@ impl<T: Copy + Send + Sync> GroupAccess<'_, T> {
 /// the parallel result is kept only when every marked array validates.
 ///
 /// * `policy` sets how many iterations one claim grants (see
-///   [`doall_dynamic_chunked`]).
+///   [`doall_dynamic`]).
 /// * `marked[a]` puts array `a` under the PD test: its accesses are
 ///   shadow-marked and its writes time-stamped, so overshoot past an
 ///   exit is undone and a failed attempt is rolled back. An unmarked
@@ -724,7 +622,6 @@ impl<T: Copy + Send + Sync> GroupAccess<'_, T> {
 /// or an exhausted budget, every marked array is restored to its
 /// checkpoint and the outcome reports the abort; re-execution is the
 /// caller's, which also owns the inputs the unmarked arrays started from.
-#[allow(clippy::too_many_arguments)] // pool, range, policy, data, marking, loop
 pub fn speculative_while_group<T, TF, BF>(
     pool: &Pool,
     upper: usize,
@@ -740,104 +637,24 @@ where
     BF: Fn(usize, &mut GroupAccess<'_, T>) + Sync,
 {
     assert_eq!(marked.len(), arrays.len(), "one marking flag per array");
-    let exception = AtomicBool::new(false);
-    // one counter per worker: a shared one would bounce between cores
-    // on every iteration
-    let executed: Vec<CachePadded<AtomicU64>> = (0..pool.size())
-        .map(|_| CachePadded::new(AtomicU64::new(0)))
-        .collect();
-    let budget_exceeded = || arrays.iter().any(|a| a.budget_exceeded());
-
-    let out = doall_dynamic_chunked(pool, upper, policy, |i, vpn| {
-        if budget_exceeded() {
-            return Step::Quit;
-        }
-        let shadows = arrays
-            .iter()
-            .zip(marked)
-            .map(|(a, &m)| m.then_some(&a.shadow));
-        let mut acc = GroupAccess {
-            arrays,
-            markers: IterMarkers::new(shadows, i),
-            iter: i,
-        };
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            if term(i, &mut acc) {
-                Step::Quit
-            } else {
-                body(i, &mut acc);
-                executed[vpn].fetch_add(1, Ordering::Relaxed);
-                Step::Continue
-            }
-        }));
-        match step {
-            Ok(s) => s,
-            Err(_) => {
-                exception.store(true, Ordering::Release);
-                Step::Quit
-            }
-        }
+    let attempt = Attempt::new(pool, &NoopRecorder, || {
+        arrays.iter().any(|a| a.budget_exceeded())
     });
-
-    let had_exception = exception.load(Ordering::Acquire) || out.panic.is_some();
-    let last_valid = out.quit;
-    let early_abort = if out.timeout.is_some() {
-        Some(AbortReason::Timeout)
-    } else if had_exception {
-        Some(AbortReason::Exception)
-    } else if budget_exceeded() {
-        Some(AbortReason::Budget)
-    } else {
-        None
-    };
-
-    // every marked array must pass; merge the verdicts
-    let verdict = early_abort.is_none().then(|| {
-        let mut merged = PdVerdict {
-            doall: true,
-            privatized_doall: true,
-            conflicts: Vec::new(),
+    let out = doall_dynamic(pool, upper, policy, &NoopRecorder, |i, vpn| {
+        let access = || {
+            let shadows = arrays
+                .iter()
+                .zip(marked)
+                .map(|(a, &m)| m.then_some(&a.shadow));
+            GroupAccess {
+                arrays,
+                markers: IterMarkers::new(shadows, i),
+                iter: i,
+            }
         };
-        for (a, _) in arrays.iter().zip(marked).filter(|(_, &m)| m) {
-            let v = a.shadow.analyze(pool, last_valid, 16);
-            merged.doall &= v.doall;
-            merged.privatized_doall &= v.privatized_doall;
-            merged.conflicts.extend(v.conflicts);
-        }
-        merged
+        attempt.step(i, vpn, access, &term, &body)
     });
-
-    let valid = verdict.as_ref().is_some_and(|v| v.doall);
-    if !valid {
-        for (a, _) in arrays.iter().zip(marked).filter(|(_, &m)| m) {
-            a.versioned.restore_all();
-        }
-        return SpecOutcome {
-            verdict,
-            committed_parallel: false,
-            reexecuted_sequentially: false,
-            exception: had_exception,
-            abort: early_abort.or(Some(AbortReason::Dependence)),
-            last_valid,
-            executed_parallel: executed.iter().map(|e| e.load(Ordering::Relaxed)).sum(),
-            undone: 0,
-        };
-    }
-
-    let undone = match last_valid {
-        Some(li) => arrays.iter().map(|a| a.versioned.undo_past(li)).sum(),
-        None => 0,
-    };
-    SpecOutcome {
-        verdict,
-        committed_parallel: true,
-        reexecuted_sequentially: false,
-        exception: false,
-        abort: None,
-        last_valid,
-        executed_parallel: executed.iter().map(|e| e.load(Ordering::Relaxed)).sum(),
-        undone,
-    }
+    attempt.settle(pool, &out, arrays, marked, false)
 }
 
 /// The Section 5 two-pass scheme: "First, the loop is run in parallel to
@@ -863,7 +680,7 @@ where
     BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
 {
     // pass 1: terminator-only DOALL with QUIT — finds the trip count
-    let pass1 = doall_dynamic(pool, upper, |i, _| {
+    let pass1 = doall_dynamic(pool, upper, ChunkPolicy::One, &NoopRecorder, |i, _| {
         if term(i) {
             Step::Quit
         } else {
@@ -901,7 +718,15 @@ where
     let end = pass1.quit.unwrap_or(upper);
 
     // pass 2: a known-range speculative DOALL (no overshoot possible)
-    let mut out = speculative_while(pool, end, arr, |_, _| false, body);
+    let mut out = speculative_while(
+        pool,
+        end,
+        ChunkPolicy::One,
+        arr,
+        &NoopRecorder,
+        |_, _| false,
+        body,
+    );
     out.last_valid = pass1.quit;
     out
 }
@@ -954,7 +779,9 @@ where
         let out = speculative_while(
             pool,
             hi - lo,
+            ChunkPolicy::One,
             &*arr, // strip-local iteration numbering keeps stamps small
+            &NoopRecorder,
             |local, a| term(lo + local, a),
             |local, a| body(lo + local, a),
         );
@@ -1006,7 +833,7 @@ where
 #[derive(Debug)]
 pub struct PrivAccess<'a, T: Copy> {
     original: &'a VersionedArray<T>,
-    overlay: &'a mut HashMap<usize, T>,
+    overlay: parking_lot::MutexGuard<'a, HashMap<usize, T>>,
     marker: IterMarker<'a>,
     trail: &'a TrailSet<T>,
     budget: Option<&'a SpecBudget>,
@@ -1056,13 +883,13 @@ impl<T: Copy> Drop for PrivAccess<'_, T> {
 /// *is* the backup, as the paper notes) and the loop re-runs sequentially.
 ///
 /// Soundness of the overshoot exemption (see `wlp_pd::shadow`): overlays
-/// persist per worker across iterations, but [`doall_dynamic`] hands each
-/// worker monotonically increasing iteration indices, so a *valid*
-/// iteration can never observe an *overshot* same-worker overlay write —
-/// overshot work always comes after all of a worker's valid work. Any
-/// valid-to-valid overlay leak is an exposed read of another iteration's
-/// write and fails the privatization criterion, forcing the sequential
-/// fallback.
+/// persist per worker across iterations, but [`doall_dynamic`] with
+/// [`ChunkPolicy::One`] hands each worker monotonically increasing
+/// iteration indices, so a *valid* iteration can never observe an
+/// *overshot* same-worker overlay write — overshot work always comes after
+/// all of a worker's valid work. Any valid-to-valid overlay leak is an
+/// exposed read of another iteration's write and fails the privatization
+/// criterion, forcing the sequential fallback.
 pub fn speculative_while_privatized<T, TF, BF>(
     pool: &Pool,
     upper: usize,
@@ -1080,17 +907,11 @@ where
         .map(|_| parking_lot::Mutex::new(HashMap::new()))
         .collect();
     let trail: TrailSet<T> = TrailSet::new(p);
-    let exception = AtomicBool::new(false);
-    let executed = AtomicU64::new(0);
-
-    let out = doall_dynamic(pool, upper, |i, vpn| {
-        if arr.budget_exceeded() {
-            return Step::Quit;
-        }
-        let mut overlay = overlays[vpn].lock();
-        let mut acc = PrivAccess {
+    let attempt = Attempt::new(pool, &NoopRecorder, || arr.budget_exceeded());
+    let out = doall_dynamic(pool, upper, ChunkPolicy::One, &NoopRecorder, |i, vpn| {
+        let access = || PrivAccess {
             original: &arr.versioned,
-            overlay: &mut overlay,
+            overlay: overlays[vpn].lock(),
             marker: arr.shadow.iteration(i),
             trail: &trail,
             budget: arr.budget.as_ref(),
@@ -1098,74 +919,27 @@ where
             iter: i,
             pending_charges: 0,
         };
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            if term(i, &mut acc) {
-                Step::Quit
-            } else {
-                body(i, &mut acc);
-                executed.fetch_add(1, Ordering::Relaxed);
-                Step::Continue
-            }
-        }));
-        match step {
-            Ok(s) => s,
-            Err(_) => {
-                exception.store(true, Ordering::Release);
-                Step::Quit
-            }
-        }
+        attempt.step(i, vpn, access, &term, &body)
     });
-
-    let last_valid = out.quit;
-    let had_exception = exception.load(Ordering::Acquire) || out.panic.is_some();
-    let early_abort = if out.timeout.is_some() {
-        Some(AbortReason::Timeout)
-    } else if had_exception {
-        Some(AbortReason::Exception)
-    } else if arr.budget_exceeded() {
-        Some(AbortReason::Budget)
-    } else {
-        None
-    };
-    let verdict = early_abort
-        .is_none()
-        .then(|| arr.shadow.analyze(pool, last_valid, 16));
-
-    let valid = verdict.as_ref().is_some_and(|v| v.privatized_doall);
-    if !valid {
+    let mut outcome = attempt.settle(pool, &out, std::slice::from_ref(arr), &[true], true);
+    if !outcome.committed_parallel {
         // shared data was never touched — no restore needed, just re-run
-        let lv = run_sequential_privatized(upper, arr, &term, &body);
-        return SpecOutcome {
-            verdict,
-            committed_parallel: false,
-            reexecuted_sequentially: true,
-            exception: had_exception,
-            abort: early_abort.or(Some(AbortReason::Dependence)),
-            last_valid: lv,
-            executed_parallel: executed.load(Ordering::Relaxed),
-            undone: 0,
-        };
+        outcome.last_valid = run_sequential_privatized(upper, arr, &term, &body);
+        outcome.reexecuted_sequentially = true;
+        return outcome;
     }
 
     // copy-out: last value per element with stamp ≤ LI (or any stamp if the
     // loop ran its full range)
     let events = trail.into_events();
     let mut values = arr.versioned.snapshot();
-    let li = last_valid.unwrap_or(usize::MAX - 1);
-    let copied = copy_out_last_values(&events, li, &mut values);
+    let li = outcome.last_valid.unwrap_or(usize::MAX - 1);
+    // elements whose value came from the trail
+    outcome.undone = copy_out_last_values(&events, li, &mut values);
     for (e, v) in values.into_iter().enumerate() {
         arr.versioned.write_direct(e, v);
     }
-    SpecOutcome {
-        verdict,
-        committed_parallel: true,
-        reexecuted_sequentially: false,
-        exception: false,
-        abort: None,
-        last_valid,
-        executed_parallel: executed.load(Ordering::Relaxed),
-        undone: copied, // elements whose value came from the trail
-    }
+    outcome
 }
 
 fn run_sequential_privatized<T, TF, BF>(
@@ -1183,12 +957,12 @@ where
     // applied in iteration order; writes land directly in the shared array.
     let trail: TrailSet<T> = TrailSet::new(1);
     let shadow_sink = Shadow::new(arr.len()); // marks discarded
-    let mut overlay: HashMap<usize, T> = HashMap::new();
+    let overlay = parking_lot::Mutex::new(HashMap::new());
     let mut last = None;
     for i in 0..upper {
         let mut acc = PrivAccess {
             original: &arr.versioned,
-            overlay: &mut overlay,
+            overlay: overlay.lock(),
             marker: shadow_sink.iteration(i),
             trail: &trail,
             budget: None, // sequential truth is never budget-limited
@@ -1202,7 +976,7 @@ where
         }
         body(i, &mut acc);
     }
-    for (e, v) in overlay {
+    for (e, v) in overlay.into_inner() {
         arr.versioned.write_direct(e, v);
     }
     last
@@ -1224,7 +998,9 @@ mod tests {
         let out = speculative_while(
             &pool(),
             1000,
+            ChunkPolicy::One,
             &arr,
+            &NoopRecorder,
             |i, _| i >= 100,
             |i, a| {
                 let v = a.read(i);
@@ -1248,7 +1024,9 @@ mod tests {
         let out = speculative_while(
             &pool(),
             n,
+            ChunkPolicy::One,
             &arr,
+            &NoopRecorder,
             |i, _| i >= n - 1,
             |i, a| {
                 let prev = a.read(i); // reads own slot …
@@ -1274,7 +1052,15 @@ mod tests {
         // RV-style exit discovered at iteration 50; overshot iterations
         // write to disjoint cells and must be rolled back
         let arr = SpeculativeArray::new(vec![0i64; 1000]);
-        let out = speculative_while(&pool(), 1000, &arr, |i, _| i == 50, |i, a| a.write(i, 1));
+        let out = speculative_while(
+            &pool(),
+            1000,
+            ChunkPolicy::One,
+            &arr,
+            &NoopRecorder,
+            |i, _| i == 50,
+            |i, a| a.write(i, 1),
+        );
         assert!(out.committed_parallel);
         assert_eq!(out.last_valid, Some(50));
         let snap = arr.snapshot();
@@ -1293,7 +1079,9 @@ mod tests {
         let out = speculative_while(
             &pool(),
             64,
+            ChunkPolicy::One,
             &arr,
+            &NoopRecorder,
             |_, _| false,
             |i, a| {
                 if i == 31 && panic_in_parallel.swap(false, Ordering::SeqCst) {
@@ -1451,7 +1239,15 @@ mod tests {
             a.write(i, v + 100);
         };
         let whole = make();
-        speculative_while(&pool(), 500, &whole, term, body);
+        speculative_while(
+            &pool(),
+            500,
+            ChunkPolicy::One,
+            &whole,
+            &NoopRecorder,
+            term,
+            body,
+        );
         let mut strips = make();
         speculative_while_strips(&pool(), 500, 50, &mut strips, term, body);
         assert_eq!(whole.snapshot(), strips.snapshot());
@@ -1522,7 +1318,15 @@ mod tests {
             a.write(i, v + 5);
         };
         let a1 = SpeculativeArray::new((0..1000i64).collect());
-        speculative_while(&pool(), 1000, &a1, term, body);
+        speculative_while(
+            &pool(),
+            1000,
+            ChunkPolicy::One,
+            &a1,
+            &NoopRecorder,
+            term,
+            body,
+        );
         let a2 = SpeculativeArray::new((0..1000i64).collect());
         let (out, _) = speculative_while_windowed(&pool(), 1000, 16, &a2, term, body);
         assert!(out.committed_parallel);
@@ -1641,9 +1445,10 @@ mod tests {
         // committing run with overshoot past the exit at 50
         let arr = SpeculativeArray::new(vec![0i64; 500]);
         let rec = BufferRecorder::new(4);
-        let out = speculative_while_rec(
+        let out = speculative_while(
             &pool(),
             500,
+            ChunkPolicy::One,
             &arr,
             &rec,
             |i, _| i == 50,
@@ -1664,9 +1469,10 @@ mod tests {
         let n = 64usize;
         let arr = SpeculativeArray::new(vec![1i64; n + 1]);
         let rec = BufferRecorder::new(4);
-        let out = speculative_while_rec(
+        let out = speculative_while(
             &pool(),
             n,
+            ChunkPolicy::One,
             &arr,
             &rec,
             |i, _| i >= n,
@@ -1692,11 +1498,19 @@ mod tests {
             a.write(i, v + 100);
         };
         let base = SpeculativeArray::new((0..500i64).collect());
-        let b = speculative_while(&pool(), 500, &base, term, body);
+        let b = speculative_while(
+            &pool(),
+            500,
+            ChunkPolicy::One,
+            &base,
+            &NoopRecorder,
+            term,
+            body,
+        );
         assert!(b.committed_parallel);
         for policy in [ChunkPolicy::Fixed(16), ChunkPolicy::Guided { min: 2 }] {
             let arr = SpeculativeArray::new((0..500i64).collect());
-            let out = speculative_while_chunked(&pool(), 500, policy, &arr, term, body);
+            let out = speculative_while(&pool(), 500, policy, &arr, &NoopRecorder, term, body);
             assert!(out.committed_parallel, "{policy:?}");
             assert_eq!(out.last_valid, Some(333), "{policy:?}");
             assert_eq!(arr.snapshot(), base.snapshot(), "{policy:?}");
@@ -1707,11 +1521,12 @@ mod tests {
     fn chunked_speculation_still_catches_dependences() {
         let n = 64usize;
         let arr = SpeculativeArray::new(vec![1i64; n + 1]);
-        let out = speculative_while_chunked(
+        let out = speculative_while(
             &pool(),
             n,
             ChunkPolicy::Fixed(8),
             &arr,
+            &NoopRecorder,
             |_, _| false,
             |i, a| {
                 let left = a.read(i);
@@ -1734,7 +1549,9 @@ mod tests {
         let out = speculative_while(
             &pool(),
             500,
+            ChunkPolicy::One,
             &arr,
+            &NoopRecorder,
             |i, _| i >= 500,
             |i, a| {
                 let v = a.read(i);
@@ -1753,7 +1570,15 @@ mod tests {
     #[test]
     fn generous_budget_still_commits_parallel() {
         let arr = SpeculativeArray::new(vec![0i64; 100]).with_budget(1_000);
-        let out = speculative_while(&pool(), 100, &arr, |_, _| false, |i, a| a.write(i, 1));
+        let out = speculative_while(
+            &pool(),
+            100,
+            ChunkPolicy::One,
+            &arr,
+            &NoopRecorder,
+            |_, _| false,
+            |i, a| a.write(i, 1),
+        );
         assert!(out.committed_parallel);
         assert_eq!(out.abort, None);
         assert_eq!(arr.stamped_writes(), 100);
@@ -1766,7 +1591,9 @@ mod tests {
         let out = speculative_while(
             &pool(),
             n,
+            ChunkPolicy::One,
             &arr,
+            &NoopRecorder,
             |_, _| false,
             |i, a| {
                 let left = a.read(i);
@@ -1780,7 +1607,9 @@ mod tests {
         let out = speculative_while(
             &pool(),
             32,
+            ChunkPolicy::One,
             &arr,
+            &NoopRecorder,
             |_, _| false,
             |i, a| {
                 if i == 7 && first.swap(false, Ordering::SeqCst) {
@@ -1800,9 +1629,10 @@ mod tests {
         let pool = Pool::new(4).with_deadline(Deadline::from_millis(25));
         let arr = SpeculativeArray::new(vec![0i64; 10_000]);
         let rec = BufferRecorder::new(4);
-        let out = speculative_while_rec(
+        let out = speculative_while(
             &pool,
             10_000,
+            ChunkPolicy::One,
             &arr,
             &rec,
             |i, _| i >= 10_000,
@@ -1825,7 +1655,15 @@ mod tests {
 
         // the same (resident) pool stays reusable after the timeout
         let arr2 = SpeculativeArray::new(vec![0i64; 64]);
-        let out2 = speculative_while(&pool, 64, &arr2, |_, _| false, |i, a| a.write(i, 1));
+        let out2 = speculative_while(
+            &pool,
+            64,
+            ChunkPolicy::One,
+            &arr2,
+            &NoopRecorder,
+            |_, _| false,
+            |i, a| a.write(i, 1),
+        );
         assert!(out2.committed_parallel);
         assert_eq!(out2.abort, None);
     }
@@ -1893,13 +1731,23 @@ mod tests {
     #[test]
     fn spec_array_commit_enables_reuse() {
         let mut arr = SpeculativeArray::new(vec![0i64; 10]);
-        let out1 = speculative_while(&pool(), 10, &arr, |_, _| false, |i, a| a.write(i, 1));
+        let out1 = speculative_while(
+            &pool(),
+            10,
+            ChunkPolicy::One,
+            &arr,
+            &NoopRecorder,
+            |_, _| false,
+            |i, a| a.write(i, 1),
+        );
         assert!(out1.committed_parallel);
         arr.commit();
         let out2 = speculative_while(
             &pool(),
             10,
+            ChunkPolicy::One,
             &arr,
+            &NoopRecorder,
             |_, _| false,
             |i, a| {
                 let v = a.read(i);

@@ -14,19 +14,20 @@
 //!   [`Governor`] currently recommends, with the policy's watchdog
 //!   deadline and undo-log budget applied, and the attempt's outcome fed
 //!   back so abort storms demote the ladder and success streaks earn
-//!   re-promotion probes.
+//!   re-promotion probes. It reports to the caller's recorder like every
+//!   method that records (pass `NoopRecorder` to trace nothing).
 //!
 //! (Strip-mining and the sliding window — Sections 8.1/8.2 — are the
 //! [`wlp_runtime::strip_mined`] and [`wlp_runtime::doall_windowed`]
 //! schedulers, which the methods in this crate compose with.)
 
 use crate::speculate::{
-    run_twice_speculative, speculative_while_rec, speculative_while_windowed, SpecAccess,
+    run_twice_speculative, speculative_while, speculative_while_windowed, SpecAccess,
     SpeculativeArray,
 };
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use wlp_obs::{AbortReason, Event, NoopRecorder, Recorder, StrategyChoice};
-use wlp_runtime::{Governor, Pool, Transition};
+use wlp_obs::{AbortReason, Event, Recorder, StrategyChoice};
+use wlp_runtime::{ChunkPolicy, Governor, Pool, Transition};
 
 /// How a governed attempt went: which rung ran, whether the governor
 /// moved, and the usual speculation outcome facts.
@@ -49,28 +50,11 @@ pub struct GovernedOutcome {
     pub executed: u64,
 }
 
-/// [`governed_while_rec`] without tracing.
-pub fn governed_while<T, TF, BF>(
-    pool: &Pool,
-    upper: usize,
-    init: Vec<T>,
-    governor: &mut Governor,
-    term: TF,
-    body: BF,
-) -> (GovernedOutcome, Vec<T>)
-where
-    T: Copy + Send + Sync,
-    TF: Fn(usize) -> bool + Sync,
-    BF: Fn(usize, &mut SpecAccess<'_, T>) + Sync,
-{
-    governed_while_rec(pool, upper, init, governor, &NoopRecorder, term, body)
-}
-
 /// Executes one instance of `while !term(i) { body(i, A) }` on the rung
 /// the [`Governor`] currently recommends:
 ///
 /// * [`StrategyChoice::Speculative`] — full speculation with the PD test
-///   ([`speculative_while_rec`]);
+///   ([`speculative_while`], whose events go to `rec`);
 /// * [`StrategyChoice::Windowed`] — the same, but through the Section 8.2
 ///   sliding window at the governor's [`degraded_window`] (half the
 ///   configured span), bounding in-flight state;
@@ -85,7 +69,8 @@ where
 /// or a write storm aborts the attempt instead of hanging or OOMing. The
 /// attempt's outcome is fed back into the governor; a resulting
 /// [`Transition`] is emitted as [`Event::Demote`]/[`Event::Repromote`]
-/// and returned in the outcome.
+/// and returned in the outcome. Pass [`wlp_obs::NoopRecorder`] to trace
+/// nothing.
 ///
 /// The terminator is index-only (the paper's RI condition) — required by
 /// the distribution rung, whose first pass evaluates it without the
@@ -95,7 +80,7 @@ where
 ///
 /// [`degraded_window`]: Governor::degraded_window
 /// [`Deadline`]: wlp_runtime::Deadline
-pub fn governed_while_rec<T, TF, BF, R>(
+pub fn governed_while<T, TF, BF, R>(
     pool: &Pool,
     upper: usize,
     init: Vec<T>,
@@ -125,7 +110,15 @@ where
     let rung = governor.current();
     let (abort, committed_parallel, last_valid, executed) = match rung {
         StrategyChoice::Speculative => {
-            let out = speculative_while_rec(&gpool, upper, &arr, rec, |i, _| term(i), &body);
+            let out = speculative_while(
+                &gpool,
+                upper,
+                ChunkPolicy::One,
+                &arr,
+                rec,
+                |i, _| term(i),
+                &body,
+            );
             (
                 out.abort,
                 out.committed_parallel,
@@ -424,6 +417,7 @@ mod tests {
             256,
             vec![0i64; 256],
             &mut gov,
+            &wlp_obs::NoopRecorder,
             |i| i == 200,
             |i, a| a.write(i, i as i64 + 1),
         );
@@ -456,6 +450,7 @@ mod tests {
                 64,
                 vec![0i64; 64],
                 &mut gov,
+                &wlp_obs::NoopRecorder,
                 |i| i == 40,
                 |i, a| a.write(i, i as i64 + 1),
             );
@@ -495,7 +490,7 @@ mod tests {
         let mut gov = Governor::new(policy);
         let rec = wlp_obs::BufferRecorder::new(pool.size());
         for _ in 0..12 {
-            let (_, snap) = governed_while_rec(
+            let (_, snap) = governed_while(
                 &pool,
                 16,
                 vec![0i64; 16],

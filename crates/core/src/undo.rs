@@ -207,10 +207,16 @@ mod tests {
     fn concurrent_disjoint_writes() {
         let a = VersionedArray::new(vec![0u64; 1000]);
         let pool = wlp_runtime::Pool::new(4);
-        wlp_runtime::doall_dynamic(&pool, 1000, |i, _| {
-            a.write(i, i as u64 * 2, i);
-            wlp_runtime::Step::Continue
-        });
+        wlp_runtime::doall_dynamic(
+            &pool,
+            1000,
+            wlp_runtime::ChunkPolicy::One,
+            &wlp_obs::NoopRecorder,
+            |i, _| {
+                a.write(i, i as u64 * 2, i);
+                wlp_runtime::Step::Continue
+            },
+        );
         for e in (0..1000).step_by(97) {
             assert_eq!(a.read(e), e as u64 * 2);
             assert_eq!(a.stamp(e), Some(e));

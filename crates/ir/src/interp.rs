@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use wlp_core::speculate::{speculative_while_group, GroupAccess, SpeculativeArray};
 use wlp_core::{AbortReason, IterMarkers, Shadow};
-use wlp_runtime::{doall_dynamic_chunked, ChunkPolicy, Pool, Step};
+use wlp_runtime::{doall_dynamic, ChunkPolicy, NoopRecorder, Pool, Step};
 
 /// A callable the loop may invoke (uninterpreted functions like `f(…)`).
 pub type HostFn = Arc<dyn Fn(&[i64]) -> i64 + Send + Sync>;
@@ -798,7 +798,7 @@ impl CompiledLoop {
             return Ok(trip);
         }
         let first_error = AtomicUsize::new(usize::MAX);
-        let pass1 = doall_dynamic_chunked(pool, max_iters, SEARCH, |i, _| {
+        let pass1 = doall_dynamic(pool, max_iters, SEARCH, &NoopRecorder, |i, _| {
             start.frame(i, |fr| {
                 let mut mem = Direct { views: &b.views };
                 match self.head(fr, &mut mem, &b.funcs) {
@@ -862,7 +862,7 @@ impl CompiledLoop {
         let tested = shadows.iter().any(Option::is_some);
         let last = parking_lot::Mutex::new(Vec::new());
         let faulted = AtomicBool::new(false);
-        let pass2 = doall_dynamic_chunked(pool, trip, RANGE, |i, _| {
+        let pass2 = doall_dynamic(pool, trip, RANGE, &NoopRecorder, |i, _| {
             start.frame(i, |fr| {
                 let ran = if tested {
                     let mut marks = IterMarkers::new(shadows.iter().map(Option::as_ref), i);

@@ -9,23 +9,28 @@
 //! against each other — the same mechanism with each distributed loop as a
 //! stage.
 //!
-//! [`doacross`] dynamically assigns whole iterations to workers and
-//! enforces the wavefront with per-iteration posted-stage counters.
+//! [`doacross`] dynamically assigns chunks of `grain` consecutive
+//! iterations to workers and enforces the wavefront with per-chunk
+//! posted-stage counters (grain 1 is the classical per-iteration
+//! pipeline).
 //!
 //! Fault containment: a panicking stage body is caught, raises the shared
-//! [`CancelFlag`], and is reported through [`DoacrossOutcome::panic`]. The
+//! [`CancelFlag`](crate::pool::CancelFlag), and is reported through
+//! [`DoacrossOutcome::panic`], attributed to its loop iteration by the
+//! same per-lane cursor the DOALL drivers keep. The
 //! hard part is the wavefront itself — a panicked iteration never posts,
 //! so successors waiting on it would deadlock. Waiters therefore use a
 //! short timed wait and re-check the cancel flag on every wakeup: the
 //! clean path is still woken promptly by `post`'s `notify_all`, and the
 //! fault path drains within one timeout tick.
 
-use crate::doall::FaultCell;
+use crate::doall::Lanes;
 use crate::pool::{CancelFlag, Pool, WorkerPanic};
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+use wlp_obs::{Event, Recorder};
 
 /// Result of a DOACROSS execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,17 +52,17 @@ pub struct DoacrossOutcome {
 ///
 /// All posted-stage counters live behind a single mutex: a
 /// `parking_lot::Condvar` may only ever be used with one mutex, so
-/// per-iteration locks sharing one condvar would be unsound (and a
+/// per-chunk locks sharing one condvar would be unsound (and a
 /// panicking waiter would deadlock the wavefront). The lock is held only
 /// for counter reads/updates, so contention stays brief.
 #[derive(Debug)]
 struct Wavefront {
-    /// `posted[i]` = number of stages iteration `i` has completed.
+    /// `posted[c]` = number of stages chunk `c` has completed.
     posted: Mutex<Vec<usize>>,
     cv: Condvar,
-    /// Smallest iteration whose body panicked (`usize::MAX` = none). Set
+    /// Smallest chunk whose body panicked (`usize::MAX` = none). Set
     /// *before* the cancel flag, so any waiter that observes the flag also
-    /// observes the bound. Iterations `< fault_at` keep running to
+    /// observes the bound. Chunks `< fault_at` keep running to
     /// completion — the fault-path analogue of the QUIT contract —
     /// because they only ever wait on predecessors that are themselves
     /// below the bound.
@@ -87,7 +92,14 @@ impl Wavefront {
         self.fault_at.fetch_min(i, Ordering::AcqRel);
     }
 
-    /// Blocks until iteration `own − 1` has posted at least `stage + 1`
+    /// Cancelled without a body fault (the watchdog, or a panic outside
+    /// a body): no completion guarantee holds, every lane gives up.
+    #[inline]
+    fn abandoned(&self, cancel: &CancelFlag) -> bool {
+        cancel.is_cancelled() && self.fault_bound() == usize::MAX
+    }
+
+    /// Blocks until chunk `own − 1` has posted at least `stage + 1`
     /// stages. Returns `false` (give up) if `own` is at or past a fault
     /// bound — its predecessor may never post — or if the run was
     /// cancelled by a non-body fault. Out-of-range indices count as
@@ -101,12 +113,7 @@ impl Wavefront {
                 Some(_) => {}
                 None => return false,
             }
-            if own >= self.fault_bound() {
-                return false;
-            }
-            if cancel.is_cancelled() && self.fault_bound() == usize::MAX {
-                // cancelled without a body fault (external cancellation or
-                // a panic outside the body): no completion guarantee holds
+            if own >= self.fault_bound() || self.abandoned(cancel) {
                 return false;
             }
             // Timed wait: a panicked predecessor never posts, so a plain
@@ -116,7 +123,7 @@ impl Wavefront {
         }
     }
 
-    /// Marks iteration `i`'s `stage` complete. Tolerates (ignores) an
+    /// Marks chunk `i`'s `stage` complete. Tolerates (ignores) an
     /// out-of-range index instead of panicking while holding the lock.
     fn post(&self, i: usize, stage: usize) {
         let mut posted = self.posted.lock();
@@ -131,136 +138,86 @@ impl Wavefront {
 
 /// Executes `0..upper` iterations of `stages` pipeline stages each, with
 /// the DOACROSS ordering: stage `s` of iteration `i` runs after stage `s`
-/// of iteration `i−1` and after stage `s−1` of iteration `i`. Iterations
-/// are claimed dynamically; `body(i, s)` performs one stage.
+/// of iteration `i−1` and after stage `s−1` of iteration `i`. `body(i, s)`
+/// performs one stage.
 ///
 /// The ordering guarantees make cross-iteration flow dependences safe as
 /// long as each dependence source is in a stage `≤` its sink's stage.
 ///
-/// A panicking stage body is contained and reported through the outcome;
-/// the wavefront drains instead of deadlocking.
-///
-/// # Panics
-/// Panics if `stages == 0`.
-pub fn doacross<F>(pool: &Pool, upper: usize, stages: usize, body: F) -> DoacrossOutcome
-where
-    F: Fn(usize, usize) + Sync,
-{
-    doacross_rec(pool, upper, stages, &wlp_obs::NoopRecorder, body)
-}
-
-/// [`doacross`] with a tunable grain: iterations are grouped into chunks
-/// of `grain` consecutive iterations, and the wavefront synchronizes per
-/// *chunk* instead of per iteration — stage `s` of chunk `c` waits on
-/// stage `s` of chunk `c−1`. A coarser grain divides the sync posts (and
-/// their lock traffic) by `grain`, at the price of `grain−1` iterations
-/// of lost pipeline overlap at each stage boundary; the `Governor`'s
-/// grain ladder walks this trade-off at run time
+/// `grain` groups iterations into chunks of `grain` consecutive ones
+/// (0 counts as 1). Chunks are claimed dynamically, and the wavefront
+/// synchronizes per *chunk* — stage `s` of chunk `c` waits on stage `s`
+/// of chunk `c−1`, and runs stage `s` of every iteration in the chunk in
+/// order. A coarser grain divides the sync posts (and their lock traffic)
+/// by `grain`, at the price of `grain−1` iterations of lost pipeline
+/// overlap at each stage boundary; the `Governor`'s grain ladder walks
+/// this trade-off at run time
 /// ([`Governor::current_grain`](crate::governor::Governor::current_grain)).
+/// Chunked synchronization is strictly *stronger* than per-iteration
+/// synchronization for forward cross-iteration dependences of any
+/// distance ≥ 1, so any dependence safe at grain 1 stays safe at every
+/// grain. Memory ordering: `body`'s writes are published to the waiting
+/// stage through the wavefront's mutex (release on post, acquire on
+/// wait) — stage bodies need no fences of their own.
 ///
-/// Correctness: chunked synchronization is strictly *stronger* than
-/// per-iteration synchronization for forward cross-iteration dependences
-/// of any distance ≥ 1, so any dependence safe under [`doacross`] stays
-/// safe at every grain. Memory ordering: `body`'s writes are published to
-/// the waiting stage through the wavefront's mutex (release on post,
-/// acquire on wait) — stage bodies need no fences of their own.
-///
-/// `executed` is reported in iterations; when `panic`/`timeout` are set
-/// the executed prefix is invalid (as with [`doacross`]) and callers
+/// A panicking stage body is contained and reported through the outcome,
+/// attributed to its loop iteration; the wavefront drains instead of
+/// deadlocking. A watchdog timeout names the iteration the overdue lane
+/// was running. Either way the executed prefix is invalid and callers
 /// should restore their checkpoint.
 ///
+/// Each claimed iteration, wavefront stall (recorded as a `LockWait`) and
+/// completed iteration is reported to `rec`; a chunk's busy time is
+/// shared evenly among its iterations. With [`wlp_obs::NoopRecorder`]
+/// every probe compiles away.
+///
 /// # Panics
 /// Panics if `stages == 0`.
-pub fn doacross_grained<F>(
+pub fn doacross<R, F>(
     pool: &Pool,
     upper: usize,
     stages: usize,
     grain: usize,
-    body: F,
-) -> DoacrossOutcome
-where
-    F: Fn(usize, usize) + Sync,
-{
-    let g = grain.max(1);
-    if g == 1 {
-        return doacross(pool, upper, stages, body);
-    }
-    let chunks = upper.div_ceil(g);
-    let out = doacross(pool, chunks, stages, |c, s| {
-        let lo = c * g;
-        let hi = (lo + g).min(upper);
-        for i in lo..hi {
-            body(i, s);
-        }
-    });
-    DoacrossOutcome {
-        executed: (out.executed * g as u64).min(upper as u64),
-        panic: out.panic,
-        timeout: out.timeout,
-    }
-}
-
-/// [`doacross`] with observability: each claim, wavefront stall (recorded
-/// as a `LockWait`) and completed iteration is reported to `rec`. With
-/// [`wlp_obs::NoopRecorder`] — which is what [`doacross`] passes — every
-/// probe compiles away.
-///
-/// # Panics
-/// Panics if `stages == 0`.
-pub fn doacross_rec<R, F>(
-    pool: &Pool,
-    upper: usize,
-    stages: usize,
     rec: &R,
     body: F,
 ) -> DoacrossOutcome
 where
-    R: wlp_obs::Recorder,
+    R: Recorder,
     F: Fn(usize, usize) + Sync,
 {
-    use std::time::Instant;
-    use wlp_obs::Event;
-
     assert!(stages > 0, "need at least one stage");
-    if upper == 0 {
-        return DoacrossOutcome {
-            executed: 0,
-            panic: None,
-            timeout: None,
-        };
-    }
-    let wave = Wavefront::new(upper);
+    let g = grain.max(1);
+    let chunks = upper.div_ceil(g);
+    let wave = Wavefront::new(chunks);
     let claim = AtomicUsize::new(0);
     let executed = AtomicU64::new(0);
-    let cancel = CancelFlag::new();
-    let fault = FaultCell::new();
+    let lanes = Lanes::new(pool.size());
+    let cancel = &lanes.cancel;
 
-    let pool_out = pool.run_with(&cancel, |vpn| {
+    let pool_out = pool.run_with(cancel, |vpn| {
         let mut local_exec = 0u64;
         loop {
-            if cancel.is_cancelled() && wave.fault_bound() == usize::MAX {
+            if wave.abandoned(cancel) {
                 break;
             }
-            let i = claim.fetch_add(1, Ordering::Relaxed);
-            if i >= upper || i >= wave.fault_bound() {
+            let c = claim.fetch_add(1, Ordering::Relaxed);
+            if c >= chunks || c >= wave.fault_bound() {
                 break;
             }
+            let (lo, hi) = (c * g, (c * g + g).min(upper));
             if R::ENABLED {
-                rec.record(
-                    vpn,
-                    Event::IterClaimed {
-                        iter: i as u64,
-                        cost: 0,
-                    },
-                );
+                for i in lo..hi {
+                    let iter = i as u64;
+                    rec.record(vpn, Event::IterClaimed { iter, cost: 0 });
+                }
             }
             let t0 = R::ENABLED.then(Instant::now);
             let mut waited = 0u64;
             let mut completed = true;
             for s in 0..stages {
-                if i > 0 {
+                if c > 0 {
                     let w0 = R::ENABLED.then(Instant::now);
-                    let ok = wave.wait_for(i, s, &cancel);
+                    let ok = wave.wait_for(c, s, cancel);
                     if let Some(w) = w0 {
                         waited += w.elapsed().as_nanos() as u64;
                     }
@@ -269,12 +226,29 @@ where
                         break;
                     }
                 }
-                match catch_unwind(AssertUnwindSafe(|| body(i, s))) {
-                    Ok(()) => wave.post(i, s),
+                // `false`: abandoned mid-chunk, leaving the lane's cursor
+                // on the iteration that overran
+                let stage = catch_unwind(AssertUnwindSafe(|| {
+                    for i in lo..hi {
+                        if wave.abandoned(cancel) {
+                            return false;
+                        }
+                        lanes.begin(vpn, i);
+                        body(i, s);
+                    }
+                    true
+                }));
+                match stage {
+                    Ok(true) => wave.post(c, s),
+                    Ok(false) => {
+                        completed = false;
+                        break;
+                    }
                     Err(p) => {
-                        fault.record(vpn, i, p.as_ref());
-                        wave.record_fault(i);
-                        cancel.cancel();
+                        // bound first, so a waiter that sees the cancel
+                        // also sees which chunks may still complete
+                        wave.record_fault(c);
+                        lanes.fail(vpn, p.as_ref());
                         completed = false;
                         break;
                     }
@@ -283,19 +257,20 @@ where
             if !completed {
                 break;
             }
-            local_exec += 1;
+            local_exec += (hi - lo) as u64;
             if R::ENABLED {
-                let total = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
                 if waited > 0 {
                     rec.record(vpn, Event::LockWait { dur: waited });
                 }
-                rec.record(
-                    vpn,
-                    Event::IterExecuted {
-                        iter: i as u64,
-                        cost: total.saturating_sub(waited),
-                    },
-                );
+                let total = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+                let busy = total.saturating_sub(waited);
+                let n = (hi - lo) as u64;
+                for (k, i) in (lo..hi).enumerate() {
+                    // the first iteration carries the division remainder
+                    let cost = busy / n + if k == 0 { busy % n } else { 0 };
+                    let iter = i as u64;
+                    rec.record(vpn, Event::IterExecuted { iter, cost });
+                }
             }
         }
         if R::ENABLED {
@@ -304,10 +279,10 @@ where
         executed.fetch_add(local_exec, Ordering::Relaxed);
     });
 
-    let timeout = pool_out.timeout().cloned();
+    let (panic, timeout) = lanes.finish(pool_out);
     DoacrossOutcome {
         executed: executed.load(Ordering::Relaxed),
-        panic: fault.take().or_else(|| pool_out.into_first_panic()),
+        panic,
         timeout,
     }
 }
@@ -316,6 +291,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use wlp_obs::NoopRecorder;
 
     #[test]
     fn grained_pipeline_computes_the_same_recurrence_at_every_grain() {
@@ -325,7 +301,7 @@ mod tests {
         let pool = Pool::new(4);
         for grain in [1usize, 3, 8, 64] {
             let xs: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            let out = doacross_grained(&pool, n, 1, grain, |i, _| {
+            let out = doacross(&pool, n, 1, grain, &NoopRecorder, |i, _| {
                 let prev = if i == 0 {
                     0
                 } else {
@@ -347,7 +323,7 @@ mod tests {
     fn grain_zero_is_clamped_to_one() {
         let pool = Pool::new(2);
         let hits = AtomicU64::new(0);
-        let out = doacross_grained(&pool, 10, 1, 0, |_, _| {
+        let out = doacross(&pool, 10, 1, 0, &NoopRecorder, |_, _| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(out.executed, 10);
@@ -361,7 +337,7 @@ mod tests {
         let n = 2000usize;
         let xs: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let pool = Pool::new(4);
-        let out = doacross(&pool, n, 1, |i, _| {
+        let out = doacross(&pool, n, 1, 1, &NoopRecorder, |i, _| {
             let prev = if i == 0 {
                 0
             } else {
@@ -386,7 +362,7 @@ mod tests {
         let a: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let b: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let pool = Pool::new(4);
-        doacross(&pool, n, 2, |i, s| match s {
+        doacross(&pool, n, 2, 1, &NoopRecorder, |i, s| match s {
             0 => {
                 let prev = if i == 0 {
                     1
@@ -411,7 +387,9 @@ mod tests {
     fn single_worker_degenerates_to_sequential() {
         let pool = Pool::new(1);
         let order = Mutex::new(Vec::new());
-        doacross(&pool, 10, 2, |i, s| order.lock().push((i, s)));
+        doacross(&pool, 10, 2, 1, &NoopRecorder, |i, s| {
+            order.lock().push((i, s))
+        });
         let order = order.into_inner();
         assert_eq!(order.len(), 20);
         // (i, s) comes after (i, s-1)
@@ -425,7 +403,9 @@ mod tests {
     #[test]
     fn empty_range_is_a_noop() {
         let pool = Pool::new(4);
-        let out = doacross(&pool, 0, 3, |_, _| panic!("no iterations"));
+        let out = doacross(&pool, 0, 3, 1, &NoopRecorder, |_, _| {
+            panic!("no iterations")
+        });
         assert_eq!(out.executed, 0);
         assert_eq!(out.panic, None);
     }
@@ -434,7 +414,7 @@ mod tests {
     #[should_panic(expected = "at least one stage")]
     fn zero_stages_panics() {
         let pool = Pool::new(2);
-        doacross(&pool, 5, 0, |_, _| {});
+        doacross(&pool, 5, 0, 1, &NoopRecorder, |_, _| {});
     }
 
     #[test]
@@ -444,7 +424,7 @@ mod tests {
         let n = 500usize;
         let pool = Pool::new(4);
         let ran = AtomicU64::new(0);
-        let out = doacross(&pool, n, 2, |i, s| {
+        let out = doacross(&pool, n, 2, 1, &NoopRecorder, |i, s| {
             if i == 50 && s == 0 {
                 panic!("injected stage fault");
             }
@@ -465,7 +445,7 @@ mod tests {
         let n = 200usize;
         let xs: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let pool = Pool::new(4);
-        let out = doacross(&pool, n, 1, |i, _| {
+        let out = doacross(&pool, n, 1, 1, &NoopRecorder, |i, _| {
             if i == 120 {
                 panic!("fault at 120");
             }
@@ -479,6 +459,38 @@ mod tests {
         assert!(out.panic.is_some());
         for (i, x) in xs.iter().take(120).enumerate() {
             assert_eq!(x.load(Ordering::Relaxed), i as u64 + 1, "iteration {i}");
+        }
+    }
+
+    #[test]
+    fn grained_panic_names_the_loop_iteration_not_the_chunk() {
+        let pool = Pool::new(4);
+        let out = doacross(&pool, 1000, 2, 8, &NoopRecorder, |i, s| {
+            if i == 37 && s == 1 {
+                panic!("fault at 37");
+            }
+        });
+        let wp = out.panic.expect("fault must be reported");
+        assert_eq!(wp.iter, Some(37), "chunk 4 holds iterations 32..40");
+        assert_eq!(wp.message, "fault at 37");
+        // chunks 0..4 (iterations 0..32) sit below the fault and complete
+        assert!(out.executed >= 32 && out.executed < 1000);
+    }
+
+    #[test]
+    fn stalled_stage_past_the_deadline_names_its_iteration() {
+        use crate::pool::Deadline;
+        for grain in [1usize, 4] {
+            let pool = Pool::new(4).with_deadline(Deadline::from_millis(25));
+            let out = doacross(&pool, 10_000, 2, grain, &NoopRecorder, |i, s| {
+                if i == 5 && s == 0 {
+                    std::thread::sleep(Duration::from_millis(200));
+                }
+            });
+            let to = out.timeout.expect("watchdog verdict must be surfaced");
+            assert_eq!(to.iter, Some(5), "grain {grain}: the stalled iteration");
+            assert_eq!(out.panic, None, "grain {grain}");
+            assert!(out.executed < 10_000, "grain {grain}");
         }
     }
 }

@@ -13,28 +13,33 @@
 //! iteration. Iterations already past the claim check may still complete
 //! after a QUIT — that is precisely the *overshoot* the paper's undo
 //! machinery (Section 4) deals with, so it is deliberately not prevented.
+//! Its [`ChunkPolicy`] sets how many consecutive iterations one `fetch_add`
+//! grants (one, fixed-size or guided/shrinking chunks), amortizing the
+//! claim overhead the cost model charges per dispatch. Every granted
+//! iteration still tests the QUIT bound before its body, so only the span
+//! (and thus `max_started`) grows with the chunk size.
 //!
-//! [`doall_static_cyclic`] issues iteration `i` on worker `i mod p`
-//! (the paper's General-2-style static assignment), and
-//! [`doall_static_blocked`] issues contiguous blocks. The paper notes that
-//! static assignment can have a much larger *span* of concurrently executing
-//! iterations, and therefore more iterations to undo under an RV terminator;
-//! the outcome's `max_started` field lets callers observe exactly that.
+//! [`doall_static_cyclic`] issues iteration `i` on worker `i mod p` (the
+//! paper's General-2-style static assignment) and [`doall_worksteal`]
+//! pre-distributes chunks into per-worker deques. The paper notes that
+//! static assignment can have a much larger *span* of concurrently
+//! executing iterations, and therefore more iterations to undo under an RV
+//! terminator; the outcome's `max_started` field lets callers observe
+//! exactly that.
 //!
-//! [`doall_dynamic_chunked`] generalizes the dynamic scheduler with a
-//! [`ChunkPolicy`]: one `fetch_add` grants a run of consecutive iterations
-//! (fixed-size or guided/shrinking chunks), amortizing the claim overhead
-//! the cost model charges per dispatch. Every granted iteration still
-//! tests the QUIT bound before its body, so termination semantics are
-//! unchanged — only the span (and thus `max_started`) can grow with the
-//! chunk size, exactly the static-vs-dynamic trade-off above on a
-//! continuous dial.
+//! Every driver here, and the windowed one in [`crate::window`], runs on
+//! one private region harness: the QUIT bound, the cancel flag, the first
+//! contained panic, a per-lane cursor naming the iteration each lane last
+//! began, and the [`DoallOutcome`] assembly. A driver supplies only its
+//! issue order.
 //!
-//! Fault containment: a panicking body is caught at its own iteration
-//! boundary, raises the shared [`CancelFlag`] (the fault-path analogue of
-//! `QUIT` — peers stop claiming at their next boundary), and is reported
-//! through [`DoallOutcome::panic`] so the strategies above can restore
-//! their checkpoint and fall back to sequential re-execution.
+//! Fault containment: a panicking body is caught at its lane's boundary,
+//! raises the shared [`CancelFlag`] (the fault-path analogue of `QUIT` —
+//! peers stop claiming at their next boundary), and is reported through
+//! [`DoallOutcome::panic`], attributed to the iteration the lane's cursor
+//! names, so the strategies above can restore their checkpoint and fall
+//! back to sequential re-execution. A watchdog timeout is attributed the
+//! same way.
 
 use crate::chunk::ChunkPolicy;
 use crate::deque::{Steal, StealDeque};
@@ -84,101 +89,199 @@ pub struct DoallOutcome {
     pub timeout: Option<WorkerTimeout>,
 }
 
-impl DoallOutcome {
-    fn from_parts(
-        quit: usize,
-        executed: u64,
-        max_started: usize,
-        panic: Option<WorkerPanic>,
-        timeout: Option<WorkerTimeout>,
-    ) -> Self {
-        DoallOutcome {
-            quit: (quit != usize::MAX).then_some(quit),
-            executed,
-            max_started,
-            panic,
-            timeout,
-        }
-    }
-}
-
-/// Splits a drained pool outcome into the watchdog verdict and the first
-/// contained panic. The pool-level [`WorkerTimeout`] cannot know loop
-/// counters, so the overdue lane's last *started* iteration — tracked in
-/// `cursor` by the drivers below — is patched in here.
-fn split_outcome(
-    pool_out: PoolOutcome,
-    fault: &FaultCell,
-    cursor: &[CachePadded<AtomicUsize>],
-) -> (Option<WorkerPanic>, Option<WorkerTimeout>) {
-    let timeout = pool_out.timeout().cloned().map(|mut t| {
-        if let Some(i) = cursor.get(t.vpn).map(|c| c.load(Ordering::Relaxed)) {
-            if i != usize::MAX {
-                t.iter = Some(i);
-            }
-        }
-        t
-    });
-    let panic = fault.take().or_else(|| pool_out.into_first_panic());
-    (panic, timeout)
-}
-
-/// Shared QUIT state: the minimum quitting iteration. Cache-line-padded —
-/// every worker polls the bound once per iteration, and without padding
-/// the poll would false-share a line with the claim counter every worker
-/// *writes* once per grant.
+/// The fault side of a region, shared by every construct in this crate:
+/// the cancel flag, the first contained panic, and one cursor per lane
+/// holding the loop iteration the lane last began. The pool cannot know
+/// loop counters, so a panic or a watchdog timeout is attributed to the
+/// iteration its lane's cursor names.
 #[derive(Debug)]
-struct QuitCell(CachePadded<AtomicUsize>);
-
-impl QuitCell {
-    fn new() -> Self {
-        QuitCell(CachePadded::new(AtomicUsize::new(usize::MAX)))
-    }
-    #[inline]
-    fn bound(&self) -> usize {
-        self.0.load(Ordering::Acquire)
-    }
-    #[inline]
-    fn quit_at(&self, i: usize) {
-        self.0.fetch_min(i, Ordering::AcqRel);
-    }
+pub(crate) struct Lanes {
+    pub(crate) cancel: CancelFlag,
+    fault: Mutex<Option<WorkerPanic>>,
+    // Padded: each lane writes its cursor once per iteration, and only
+    // the watchdog and the fault path read it.
+    cursor: Vec<CachePadded<AtomicUsize>>,
 }
 
-/// Shared first-fault slot: the first contained body panic wins; later
-/// ones (peers that panic before observing the cancel flag) are dropped.
-#[derive(Debug, Default)]
-pub(crate) struct FaultCell(Mutex<Option<WorkerPanic>>);
-
-impl FaultCell {
-    pub(crate) fn new() -> Self {
-        FaultCell(Mutex::new(None))
+impl Lanes {
+    pub(crate) fn new(p: usize) -> Self {
+        Lanes {
+            cancel: CancelFlag::new(),
+            fault: Mutex::new(None),
+            cursor: (0..p)
+                .map(|_| CachePadded::new(AtomicUsize::new(usize::MAX)))
+                .collect(),
+        }
     }
 
-    pub(crate) fn record(&self, vpn: usize, iter: usize, payload: &(dyn std::any::Any + Send)) {
-        self.record_at(vpn, Some(iter), payload);
+    /// Records that lane `vpn` begins iteration `i`.
+    #[inline]
+    pub(crate) fn begin(&self, vpn: usize, i: usize) {
+        self.cursor[vpn].store(i, Ordering::Relaxed);
     }
 
-    /// Like [`FaultCell::record`], for callers that may not know the loop
-    /// counter (a panic caught at the worker boundary whose cursor was
-    /// never written).
-    pub(crate) fn record_at(
-        &self,
-        vpn: usize,
-        iter: Option<usize>,
-        payload: &(dyn std::any::Any + Send),
-    ) {
-        let mut slot = self.0.lock();
+    fn at(&self, vpn: usize) -> Option<usize> {
+        let i = self.cursor.get(vpn)?.load(Ordering::Relaxed);
+        (i != usize::MAX).then_some(i)
+    }
+
+    /// Contains a panic on lane `vpn`: cancels the region and keeps the
+    /// panic if it is the first, attributed to the lane's cursor.
+    pub(crate) fn fail(&self, vpn: usize, payload: &(dyn std::any::Any + Send)) {
+        self.cancel.cancel();
+        let mut slot = self.fault.lock();
         if slot.is_none() {
             *slot = Some(WorkerPanic {
                 vpn,
-                iter,
+                iter: self.at(vpn),
                 message: payload_message(payload),
             });
         }
     }
 
-    pub(crate) fn take(&self) -> Option<WorkerPanic> {
-        self.0.lock().take()
+    /// Splits a drained pool outcome into the first contained panic and
+    /// the watchdog verdict, with the overdue lane's iteration patched in.
+    pub(crate) fn finish(
+        &self,
+        pool_out: PoolOutcome,
+    ) -> (Option<WorkerPanic>, Option<WorkerTimeout>) {
+        let timeout = pool_out.timeout().cloned().map(|mut t| {
+            t.iter = self.at(t.vpn).or(t.iter);
+            t
+        });
+        let panic = self
+            .fault
+            .lock()
+            .take()
+            .or_else(|| pool_out.into_first_panic());
+        (panic, timeout)
+    }
+}
+
+/// The shared state of one DOALL region: [`Lanes`] plus the QUIT bound and
+/// the executed/max_started accumulators. Every word gets its own cache
+/// line: the quit bound is polled per iteration and the accumulators are
+/// flushed once per lane, and none of them may share a line with a
+/// driver's claim counter, or its `fetch_add` traffic invalidates the
+/// poll (measured as the `Td` dispatch term of the cost model).
+struct Region<'r, R> {
+    lanes: Lanes,
+    quit: CachePadded<AtomicUsize>,
+    executed: CachePadded<AtomicU64>,
+    max_started: CachePadded<AtomicUsize>,
+    rec: &'r R,
+}
+
+/// One lane's handle on a running DOALL region: what a driver's issue
+/// loop polls (cancellation, the QUIT bound) and how it runs an iteration.
+pub(crate) struct Lane<'a, 'r, R> {
+    region: &'a Region<'r, R>,
+    vpn: usize,
+    executed: u64,
+    max_started: usize,
+}
+
+impl<R: Recorder> Lane<'_, '_, R> {
+    #[inline]
+    pub(crate) fn vpn(&self) -> usize {
+        self.vpn
+    }
+
+    /// The region's cancel flag (raised by a contained panic or the
+    /// watchdog).
+    #[inline]
+    pub(crate) fn cancel(&self) -> &CancelFlag {
+        &self.region.lanes.cancel
+    }
+
+    #[inline]
+    pub(crate) fn cancelled(&self) -> bool {
+        self.region.lanes.cancel.is_cancelled()
+    }
+
+    /// The smallest quitting iteration so far (`usize::MAX` = none): no
+    /// iteration above it may begin.
+    #[inline]
+    pub(crate) fn bound(&self) -> usize {
+        self.region.quit.load(Ordering::Acquire)
+    }
+
+    #[inline]
+    pub(crate) fn record(&self, event: Event) {
+        if R::ENABLED {
+            self.region.rec.record(self.vpn, event);
+        }
+    }
+
+    /// Runs iteration `i`: moves the lane's cursor to it, calls the body,
+    /// and lowers the QUIT bound if the body quits. With an enabled
+    /// recorder it reports the claim, the body's time and the QUIT.
+    #[inline]
+    pub(crate) fn run<F>(&mut self, i: usize, body: &F) -> Step
+    where
+        F: Fn(usize, usize) -> Step,
+    {
+        let iter = i as u64;
+        self.record(Event::IterClaimed { iter, cost: 0 });
+        self.max_started = self.max_started.max(i + 1);
+        self.region.lanes.begin(self.vpn, i);
+        let t0 = R::ENABLED.then(Instant::now);
+        let step = body(i, self.vpn);
+        self.executed += 1;
+        if R::ENABLED {
+            let cost = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+            self.record(Event::IterExecuted { iter, cost });
+        }
+        if let Step::Quit = step {
+            self.region.quit.fetch_min(i, Ordering::AcqRel);
+            self.record(Event::Quit { iter });
+        }
+        step
+    }
+}
+
+/// Runs one DOALL region: `issue` is called once per lane and decides
+/// which iterations the lane runs, in what order, through [`Lane::run`].
+/// One `catch_unwind` per lane, not per body call: the unwind guard is
+/// hoisted out of the issue loop so the hot path has no per-iteration
+/// landing-pad setup.
+pub(crate) fn doall_region<R, I>(pool: &Pool, rec: &R, issue: I) -> DoallOutcome
+where
+    R: Recorder,
+    I: Fn(&mut Lane<'_, '_, R>) + Sync,
+{
+    let region = Region {
+        lanes: Lanes::new(pool.size()),
+        quit: CachePadded::new(AtomicUsize::new(usize::MAX)),
+        executed: CachePadded::new(AtomicU64::new(0)),
+        max_started: CachePadded::new(AtomicUsize::new(0)),
+        rec,
+    };
+    let pool_out = pool.run_with(&region.lanes.cancel, |vpn| {
+        let mut lane = Lane {
+            region: &region,
+            vpn,
+            executed: 0,
+            max_started: 0,
+        };
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| issue(&mut lane))) {
+            region.lanes.fail(vpn, payload.as_ref());
+        }
+        // each worker leaves the loop through the closing join
+        lane.record(Event::Barrier { cost: 0 });
+        region.executed.fetch_add(lane.executed, Ordering::Relaxed);
+        region
+            .max_started
+            .fetch_max(lane.max_started, Ordering::Relaxed);
+    });
+    let (panic, timeout) = region.lanes.finish(pool_out);
+    let quit = region.quit.load(Ordering::Acquire);
+    DoallOutcome {
+        quit: (quit != usize::MAX).then_some(quit),
+        executed: region.executed.load(Ordering::Relaxed),
+        max_started: region.max_started.load(Ordering::Relaxed),
+        panic,
+        timeout,
     }
 }
 
@@ -187,56 +290,24 @@ impl FaultCell {
 /// Workers claim iterations from a shared counter, so iteration *begin*
 /// order equals iteration index order (the Alliant ordered-issue property).
 /// `body(i, vpn)` returns [`Step::Quit`] to request loop exit.
-pub fn doall_dynamic<F>(pool: &Pool, upper: usize, body: F) -> DoallOutcome
-where
-    F: Fn(usize, usize) -> Step + Sync,
-{
-    doall_dynamic_rec(pool, upper, &NoopRecorder, body)
-}
-
-/// [`doall_dynamic`] with observability: each claim, body execution, QUIT
-/// broadcast and end-of-loop join is reported to `rec`.
 ///
-/// Probes are guarded by `R::ENABLED`, an associated constant, so calling
-/// this with [`NoopRecorder`] — which is exactly what [`doall_dynamic`]
-/// does — monomorphizes to the uninstrumented loop: no clock reads, no
-/// branches, no recording.
-pub fn doall_dynamic_rec<R, F>(pool: &Pool, upper: usize, rec: &R, body: F) -> DoallOutcome
-where
-    R: Recorder,
-    F: Fn(usize, usize) -> Step + Sync,
-{
-    doall_dynamic_chunked_rec(pool, upper, ChunkPolicy::One, rec, body)
-}
-
-/// Dynamic self-scheduled DOALL with a [`ChunkPolicy`]: each `fetch_add`
-/// on the shared claim counter grants a run of consecutive iterations
-/// instead of one. Chunks are granted in index order; within a chunk,
-/// iterations run in order and each one re-tests the QUIT bound before
-/// its body, so the Alliant contract — no iteration with a counter larger
-/// than the smallest quitting iteration begins once the quit is visible —
-/// is preserved for every policy. What changes is the *span*: a worker
-/// deep in a large chunk can be executing an iteration far above a
-/// sibling's, so `max_started` (and RV-terminator overshoot to undo)
-/// grows with the chunk size. [`ChunkPolicy::One`] is byte-for-byte the
-/// classical scheduler.
-pub fn doall_dynamic_chunked<F>(
-    pool: &Pool,
-    upper: usize,
-    policy: ChunkPolicy,
-    body: F,
-) -> DoallOutcome
-where
-    F: Fn(usize, usize) -> Step + Sync,
-{
-    doall_dynamic_chunked_rec(pool, upper, policy, &NoopRecorder, body)
-}
-
-/// [`doall_dynamic_chunked`] with observability: chunk grants of more
-/// than one iteration are reported as [`Event::ChunkClaimed`]; each
-/// iteration still reports `IterClaimed`/`IterExecuted`/`Quit` as in
-/// [`doall_dynamic_rec`], so per-iteration accounting is unchanged.
-pub fn doall_dynamic_chunked_rec<R, F>(
+/// Each `fetch_add` on the claim counter grants a run of consecutive
+/// iterations sized by `policy`. Chunks are granted in index order;
+/// within a chunk, iterations run in order and each one re-tests the QUIT
+/// bound before its body, so the Alliant contract — no iteration with a
+/// counter larger than the smallest quitting iteration begins once the
+/// quit is visible — holds for every policy. What changes is the *span*: a
+/// worker deep in a large chunk can be executing an iteration far above a
+/// sibling's, so `max_started` (and RV-terminator overshoot to undo) grows
+/// with the chunk size. [`ChunkPolicy::One`] is the classical scheduler.
+///
+/// Each claim, chunk grant of more than one iteration
+/// ([`Event::ChunkClaimed`]), body execution, QUIT broadcast and
+/// end-of-loop join is reported to `rec`. Probes are guarded by
+/// `R::ENABLED`, an associated constant, so with [`NoopRecorder`] the loop
+/// monomorphizes to the uninstrumented one: no clock reads, no branches,
+/// no recording.
+pub fn doall_dynamic<R, F>(
     pool: &Pool,
     upper: usize,
     policy: ChunkPolicy,
@@ -247,115 +318,35 @@ where
     R: Recorder,
     F: Fn(usize, usize) -> Step + Sync,
 {
-    // Every shared word on the claim path gets its own cache line: the
-    // claim counter is RMW-hot from all workers, the quit bound is
-    // polled per iteration, the executed/max_started accumulators are
-    // flushed once per worker, and each lane's cursor is written per
-    // iteration but read only by the watchdog — none of them may share a
-    // line with another, or the fetch_add traffic invalidates the poll
-    // lines (measured as the `Td` dispatch term of the cost model).
     let claim = CachePadded::new(AtomicUsize::new(0));
-    let quit = QuitCell::new();
-    let max_started = CachePadded::new(AtomicUsize::new(0));
-    let executed = CachePadded::new(AtomicU64::new(0));
-    let cancel = CancelFlag::new();
-    let fault = FaultCell::new();
     let p = pool.size();
-    let cursor: Vec<CachePadded<AtomicUsize>> = (0..p)
-        .map(|_| CachePadded::new(AtomicUsize::new(usize::MAX)))
-        .collect();
-
-    let pool_out = pool.run_with(&cancel, |vpn| {
-        let mut local_exec = 0u64;
-        let mut local_max = 0usize;
-        // One catch_unwind per *worker*, not per body call: the unwind
-        // guard is hoisted out of the claiming loop so the hot path has
-        // no per-iteration landing-pad setup. A panicking body is
-        // attributed to the iteration its lane cursor recorded just
-        // before the call.
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            'claiming: loop {
-                if cancel.is_cancelled() {
-                    break;
-                }
-                // Advisory read of the unclaimed remainder — only the
-                // grant *size* depends on it, so a stale value is
-                // harmless.
-                let seen = claim.load(Ordering::Relaxed).min(upper);
-                let want = policy.grant(upper - seen, p);
-                let lo = claim.fetch_add(want, Ordering::Relaxed);
-                if lo >= upper || lo > quit.bound() {
-                    break;
-                }
-                let hi = (lo + want).min(upper);
-                if R::ENABLED && hi - lo > 1 {
-                    rec.record(
-                        vpn,
-                        Event::ChunkClaimed {
-                            lo: lo as u64,
-                            len: (hi - lo) as u64,
-                            cost: 0,
-                        },
-                    );
-                }
-                for i in lo..hi {
-                    if cancel.is_cancelled() || i > quit.bound() {
-                        break 'claiming;
-                    }
-                    if R::ENABLED {
-                        rec.record(
-                            vpn,
-                            Event::IterClaimed {
-                                iter: i as u64,
-                                cost: 0,
-                            },
-                        );
-                    }
-                    local_max = i + 1;
-                    cursor[vpn].store(i, Ordering::Relaxed);
-                    let t0 = R::ENABLED.then(Instant::now);
-                    let step = body(i, vpn);
-                    local_exec += 1;
-                    if R::ENABLED {
-                        let cost = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                        rec.record(
-                            vpn,
-                            Event::IterExecuted {
-                                iter: i as u64,
-                                cost,
-                            },
-                        );
-                    }
-                    if let Step::Quit = step {
-                        quit.quit_at(i);
-                        if R::ENABLED {
-                            rec.record(vpn, Event::Quit { iter: i as u64 });
-                        }
-                    }
-                }
+    doall_region(pool, rec, |lane| 'claiming: loop {
+        if lane.cancelled() {
+            break;
+        }
+        // Advisory read of the unclaimed remainder — only the grant
+        // *size* depends on it, so a stale value is harmless.
+        let seen = claim.load(Ordering::Relaxed).min(upper);
+        let want = policy.grant(upper - seen, p);
+        let lo = claim.fetch_add(want, Ordering::Relaxed);
+        if lo >= upper || lo > lane.bound() {
+            break;
+        }
+        let hi = (lo + want).min(upper);
+        if R::ENABLED && hi - lo > 1 {
+            lane.record(Event::ChunkClaimed {
+                lo: lo as u64,
+                len: (hi - lo) as u64,
+                cost: 0,
+            });
+        }
+        for i in lo..hi {
+            if lane.cancelled() || i > lane.bound() {
+                break 'claiming;
             }
-        }));
-        if let Err(payload) = caught {
-            cancel.cancel();
-            let at = cursor[vpn].load(Ordering::Relaxed);
-            fault.record_at(vpn, (at != usize::MAX).then_some(at), payload.as_ref());
+            lane.run(i, &body);
         }
-        if R::ENABLED {
-            // each worker leaves the loop through the closing join
-            rec.record(vpn, Event::Barrier { cost: 0 });
-        }
-        executed.fetch_add(local_exec, Ordering::Relaxed);
-        max_started.fetch_max(local_max, Ordering::Relaxed);
-    });
-
-    let (panic, timeout) = split_outcome(pool_out, &fault, &cursor);
-    DoallOutcome::from_parts(
-        quit.bound(),
-        executed.load(Ordering::Relaxed),
-        max_started.load(Ordering::Relaxed),
-        panic,
-        timeout,
-    )
+    })
 }
 
 /// Static cyclic DOALL: worker `vpn` executes iterations `vpn, vpn+p, …`.
@@ -368,101 +359,14 @@ pub fn doall_static_cyclic<F>(pool: &Pool, upper: usize, body: F) -> DoallOutcom
 where
     F: Fn(usize, usize) -> Step + Sync,
 {
-    let quit = QuitCell::new();
-    let max_started = CachePadded::new(AtomicUsize::new(0));
-    let executed = CachePadded::new(AtomicU64::new(0));
-    let cancel = CancelFlag::new();
-    let fault = FaultCell::new();
     let p = pool.size();
-    let cursor: Vec<CachePadded<AtomicUsize>> = (0..p)
-        .map(|_| CachePadded::new(AtomicUsize::new(usize::MAX)))
-        .collect();
-
-    let pool_out = pool.run_with(&cancel, |vpn| {
-        let mut local_exec = 0u64;
-        let mut local_max = 0usize;
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let mut i = vpn;
-            while i < upper && i <= quit.bound() && !cancel.is_cancelled() {
-                local_max = i + 1;
-                cursor[vpn].store(i, Ordering::Relaxed);
-                let step = body(i, vpn);
-                local_exec += 1;
-                if let Step::Quit = step {
-                    quit.quit_at(i);
-                }
-                i += p;
-            }
-        }));
-        if let Err(payload) = caught {
-            cancel.cancel();
-            let at = cursor[vpn].load(Ordering::Relaxed);
-            fault.record_at(vpn, (at != usize::MAX).then_some(at), payload.as_ref());
+    doall_region(pool, &NoopRecorder, |lane| {
+        let mut i = lane.vpn();
+        while i < upper && i <= lane.bound() && !lane.cancelled() {
+            lane.run(i, &body);
+            i += p;
         }
-        executed.fetch_add(local_exec, Ordering::Relaxed);
-        max_started.fetch_max(local_max, Ordering::Relaxed);
-    });
-
-    let (panic, timeout) = split_outcome(pool_out, &fault, &cursor);
-    DoallOutcome::from_parts(
-        quit.bound(),
-        executed.load(Ordering::Relaxed),
-        max_started.load(Ordering::Relaxed),
-        panic,
-        timeout,
-    )
-}
-
-/// Static blocked DOALL: worker `vpn` executes one contiguous block of
-/// `0..upper`, honouring the QUIT bound.
-pub fn doall_static_blocked<F>(pool: &Pool, upper: usize, body: F) -> DoallOutcome
-where
-    F: Fn(usize, usize) -> Step + Sync,
-{
-    let quit = QuitCell::new();
-    let max_started = CachePadded::new(AtomicUsize::new(0));
-    let executed = CachePadded::new(AtomicU64::new(0));
-    let cancel = CancelFlag::new();
-    let fault = FaultCell::new();
-    let cursor: Vec<CachePadded<AtomicUsize>> = (0..pool.size())
-        .map(|_| CachePadded::new(AtomicUsize::new(usize::MAX)))
-        .collect();
-
-    let pool_out = pool.run_with(&cancel, |vpn| {
-        let (lo, hi) = pool.block(vpn, upper);
-        let mut local_exec = 0u64;
-        let mut local_max = 0usize;
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            for i in lo..hi {
-                if i > quit.bound() || cancel.is_cancelled() {
-                    break;
-                }
-                local_max = i + 1;
-                cursor[vpn].store(i, Ordering::Relaxed);
-                let step = body(i, vpn);
-                local_exec += 1;
-                if let Step::Quit = step {
-                    quit.quit_at(i);
-                }
-            }
-        }));
-        if let Err(payload) = caught {
-            cancel.cancel();
-            let at = cursor[vpn].load(Ordering::Relaxed);
-            fault.record_at(vpn, (at != usize::MAX).then_some(at), payload.as_ref());
-        }
-        executed.fetch_add(local_exec, Ordering::Relaxed);
-        max_started.fetch_max(local_max, Ordering::Relaxed);
-    });
-
-    let (panic, timeout) = split_outcome(pool_out, &fault, &cursor);
-    DoallOutcome::from_parts(
-        quit.bound(),
-        executed.load(Ordering::Relaxed),
-        max_started.load(Ordering::Relaxed),
-        panic,
-        timeout,
-    )
+    })
 }
 
 /// Work-stealing DOALL: chunks of `chunk` consecutive iterations are
@@ -472,7 +376,7 @@ where
 /// counter at all** — under claim-dense workloads (tiny bodies at high
 /// `p`) this removes the last contended RMW from the issue path.
 ///
-/// Semantics versus [`doall_dynamic_chunked`]:
+/// Semantics versus [`doall_dynamic`]:
 ///
 /// * The QUIT bound is honoured identically — every granted iteration
 ///   re-tests the bound before its body, all iterations ≤ the smallest
@@ -503,91 +407,56 @@ where
         debug_assert!(pushed, "each deque holds at most `share` chunks");
     }
 
-    let quit = QuitCell::new();
-    let max_started = CachePadded::new(AtomicUsize::new(0));
-    let executed = CachePadded::new(AtomicU64::new(0));
-    let cancel = CancelFlag::new();
-    let fault = FaultCell::new();
-    let cursor: Vec<CachePadded<AtomicUsize>> = (0..p)
-        .map(|_| CachePadded::new(AtomicUsize::new(usize::MAX)))
-        .collect();
-
-    let pool_out = pool.run_with(&cancel, |vpn| {
-        let mut local_exec = 0u64;
-        let mut local_max = 0usize;
-        let own = &deques[vpn];
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            'running: loop {
-                if cancel.is_cancelled() {
-                    break;
-                }
-                // Own deque first (relaxed fast path), then one sweep
-                // over the peers. A Retry anywhere means contention, not
-                // exhaustion — sweep again rather than exiting early.
-                let c = match own.pop() {
-                    Some(c) => c,
-                    None => {
-                        let mut found = None;
-                        let mut contended = false;
-                        for off in 1..p {
-                            match deques[(vpn + off) % p].steal() {
-                                Steal::Success(c) => {
-                                    found = Some(c);
-                                    break;
-                                }
-                                Steal::Retry => contended = true,
-                                Steal::Empty => {}
-                            }
-                        }
-                        match found {
-                            Some(c) => c,
-                            None if contended => {
-                                std::hint::spin_loop();
-                                continue;
-                            }
-                            None => break,
-                        }
-                    }
-                };
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(upper);
-                for i in lo..hi {
-                    if cancel.is_cancelled() {
-                        break 'running;
-                    }
-                    if i > quit.bound() {
-                        // The rest of this chunk is above the bound, but
-                        // chunks with smaller indices may still be
-                        // queued elsewhere — keep claiming.
-                        continue 'running;
-                    }
-                    local_max = local_max.max(i + 1);
-                    cursor[vpn].store(i, Ordering::Relaxed);
-                    let step = body(i, vpn);
-                    local_exec += 1;
-                    if let Step::Quit = step {
-                        quit.quit_at(i);
-                    }
-                }
+    doall_region(pool, &NoopRecorder, |lane| {
+        let vpn = lane.vpn();
+        'running: loop {
+            if lane.cancelled() {
+                break;
             }
-        }));
-        if let Err(payload) = caught {
-            cancel.cancel();
-            let at = cursor[vpn].load(Ordering::Relaxed);
-            fault.record_at(vpn, (at != usize::MAX).then_some(at), payload.as_ref());
+            // Own deque first (relaxed fast path), then one sweep
+            // over the peers. A Retry anywhere means contention, not
+            // exhaustion — sweep again rather than exiting early.
+            let c = match deques[vpn].pop() {
+                Some(c) => c,
+                None => {
+                    let mut found = None;
+                    let mut contended = false;
+                    for off in 1..p {
+                        match deques[(vpn + off) % p].steal() {
+                            Steal::Success(c) => {
+                                found = Some(c);
+                                break;
+                            }
+                            Steal::Retry => contended = true,
+                            Steal::Empty => {}
+                        }
+                    }
+                    match found {
+                        Some(c) => c,
+                        None if contended => {
+                            std::hint::spin_loop();
+                            continue;
+                        }
+                        None => break,
+                    }
+                }
+            };
+            let lo = c * chunk;
+            let hi = (lo + chunk).min(upper);
+            for i in lo..hi {
+                if lane.cancelled() {
+                    break 'running;
+                }
+                if i > lane.bound() {
+                    // The rest of this chunk is above the bound, but
+                    // chunks with smaller indices may still be
+                    // queued elsewhere — keep claiming.
+                    continue 'running;
+                }
+                lane.run(i, &body);
+            }
         }
-        executed.fetch_add(local_exec, Ordering::Relaxed);
-        max_started.fetch_max(local_max, Ordering::Relaxed);
-    });
-
-    let (panic, timeout) = split_outcome(pool_out, &fault, &cursor);
-    DoallOutcome::from_parts(
-        quit.bound(),
-        executed.load(Ordering::Relaxed),
-        max_started.load(Ordering::Relaxed),
-        panic,
-        timeout,
-    )
+    })
 }
 
 #[cfg(test)]
@@ -596,41 +465,81 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
-    fn mark_all(
-        doall: impl Fn(&Pool, usize, &(dyn Fn(usize, usize) -> Step + Sync)) -> DoallOutcome,
-    ) {
+    type Body<'a> = &'a (dyn Fn(usize, usize) -> Step + Sync);
+    type Driver = Box<dyn Fn(&Pool, usize, Body<'_>) -> DoallOutcome>;
+
+    /// Every DOALL driver in this crate, each as one more input to the
+    /// shared checks: the dynamic one under every policy, cyclic,
+    /// work-stealing, windowed and strip-mined.
+    fn drivers() -> Vec<(String, Driver)> {
+        use crate::strip::strip_mined;
+        use crate::window::doall_windowed;
+        let mut all: Vec<(String, Driver)> = Vec::new();
+        for policy in [
+            ChunkPolicy::One,
+            ChunkPolicy::Fixed(16),
+            ChunkPolicy::Guided { min: 4 },
+        ] {
+            all.push((
+                format!("dynamic/{}", policy.label()),
+                Box::new(move |p, u, b| doall_dynamic(p, u, policy, &NoopRecorder, b)),
+            ));
+        }
+        all.push((
+            "cyclic".into(),
+            Box::new(|p, u, b| doall_static_cyclic(p, u, b)),
+        ));
+        // One chunk per lane: each lane then begins its iterations in
+        // ascending order, as the deadline check below needs (with small
+        // chunks a lane starts from the far end of its block).
+        all.push((
+            "worksteal".into(),
+            Box::new(|p, u, b| doall_worksteal(p, u, u.div_ceil(p.size()), b)),
+        ));
+        all.push((
+            "windowed".into(),
+            Box::new(|p, u, b| doall_windowed(p, u, 16, &NoopRecorder, b).0),
+        ));
+        all.push((
+            "strip-mined".into(),
+            Box::new(|p, u, b| strip_mined(p, u, 64, ChunkPolicy::One, &NoopRecorder, b).outcome),
+        ));
+        all
+    }
+
+    fn mark_all(name: &str, doall: impl Fn(&Pool, usize, Body<'_>) -> DoallOutcome) {
         let pool = Pool::new(4);
         let hits: Vec<AtomicU32> = (0..100).map(|_| AtomicU32::new(0)).collect();
         let out = doall(&pool, 100, &|i, _| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             Step::Continue
         });
-        assert_eq!(out.quit, None);
-        assert_eq!(out.executed, 100);
-        assert_eq!(out.max_started, 100);
-        assert_eq!(out.panic, None);
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        assert_eq!(out.quit, None, "{name}");
+        assert_eq!(out.executed, 100, "{name}");
+        assert_eq!(out.max_started, 100, "{name}");
+        assert_eq!(out.panic, None, "{name}");
+        assert!(
+            hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+            "{name}"
+        );
     }
 
     #[test]
     fn dynamic_covers_all_iterations_exactly_once() {
-        mark_all(|p, u, b| doall_dynamic(p, u, b));
+        mark_all("dynamic", |p, u, b| {
+            doall_dynamic(p, u, ChunkPolicy::One, &NoopRecorder, b)
+        });
     }
 
     #[test]
     fn cyclic_covers_all_iterations_exactly_once() {
-        mark_all(|p, u, b| doall_static_cyclic(p, u, b));
-    }
-
-    #[test]
-    fn blocked_covers_all_iterations_exactly_once() {
-        mark_all(|p, u, b| doall_static_blocked(p, u, b));
+        mark_all("cyclic", |p, u, b| doall_static_cyclic(p, u, b));
     }
 
     #[test]
     fn quit_reports_smallest_quitting_iteration() {
         let pool = Pool::new(4);
-        let out = doall_dynamic(&pool, 10_000, |i, _| {
+        let out = doall_dynamic(&pool, 10_000, ChunkPolicy::One, &NoopRecorder, |i, _| {
             if i >= 50 {
                 Step::Quit
             } else {
@@ -645,7 +554,7 @@ mod tests {
         // The QUIT contract: all iterations < quit must have run.
         let pool = Pool::new(8);
         let hits: Vec<AtomicU32> = (0..1000).map(|_| AtomicU32::new(0)).collect();
-        let out = doall_dynamic(&pool, 1000, |i, _| {
+        let out = doall_dynamic(&pool, 1000, ChunkPolicy::One, &NoopRecorder, |i, _| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             if i == 200 {
                 Step::Quit
@@ -697,21 +606,9 @@ mod tests {
     }
 
     #[test]
-    fn blocked_assignment_is_contiguous() {
-        let pool = Pool::new(4);
-        let owner: Vec<AtomicUsize> = (0..40).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        doall_static_blocked(&pool, 40, |i, vpn| {
-            owner[i].store(vpn, Ordering::Relaxed);
-            Step::Continue
-        });
-        let owners: Vec<usize> = owner.iter().map(|o| o.load(Ordering::Relaxed)).collect();
-        assert!(owners.windows(2).all(|w| w[0] <= w[1]), "{owners:?}");
-    }
-
-    #[test]
     fn empty_range_runs_nothing() {
         let pool = Pool::new(4);
-        let out = doall_dynamic(&pool, 0, |_, _| Step::Quit);
+        let out = doall_dynamic(&pool, 0, ChunkPolicy::One, &NoopRecorder, |_, _| Step::Quit);
         assert_eq!(out.executed, 0);
         assert_eq!(out.quit, None);
         assert_eq!(out.max_started, 0);
@@ -720,7 +617,7 @@ mod tests {
     #[test]
     fn multiple_quits_pick_minimum() {
         let pool = Pool::new(8);
-        let out = doall_dynamic(&pool, 10_000, |i, _| {
+        let out = doall_dynamic(&pool, 10_000, ChunkPolicy::One, &NoopRecorder, |i, _| {
             // every iteration in 70.. quits; 70 must win
             if i >= 70 {
                 Step::Quit
@@ -735,7 +632,7 @@ mod tests {
     fn recorded_doall_reports_claims_bodies_and_quit() {
         let pool = Pool::new(4);
         let rec = wlp_obs::BufferRecorder::new(4);
-        let out = doall_dynamic_rec(&pool, 1000, &rec, |i, _| {
+        let out = doall_dynamic(&pool, 1000, ChunkPolicy::One, &rec, |i, _| {
             if i == 100 {
                 Step::Quit
             } else {
@@ -762,7 +659,7 @@ mod tests {
     #[test]
     fn works_on_single_worker_pool() {
         let pool = Pool::new(1);
-        let out = doall_dynamic(&pool, 100, |i, _| {
+        let out = doall_dynamic(&pool, 100, ChunkPolicy::One, &NoopRecorder, |i, _| {
             if i == 10 {
                 Step::Quit
             } else {
@@ -775,9 +672,7 @@ mod tests {
         assert_eq!(out.max_started, 11);
     }
 
-    fn assert_panic_contained(
-        doall: impl Fn(&Pool, usize, &(dyn Fn(usize, usize) -> Step + Sync)) -> DoallOutcome,
-    ) {
+    fn assert_panic_contained(name: &str, doall: impl Fn(&Pool, usize, Body<'_>) -> DoallOutcome) {
         let pool = Pool::new(4);
         let out = doall(&pool, 1000, &|i, _| {
             if i == 37 {
@@ -786,25 +681,105 @@ mod tests {
             Step::Continue
         });
         let wp = out.panic.expect("panic must be reported");
-        assert_eq!(wp.iter, Some(37));
-        assert_eq!(wp.message, "injected at 37");
+        assert_eq!(wp.iter, Some(37), "{name}");
+        assert_eq!(wp.message, "injected at 37", "{name}");
         // the faulting body is not counted as executed
-        assert!(out.executed < 1000);
+        assert!(out.executed < 1000, "{name}");
+    }
+
+    /// The QUIT contract: every iteration at or below the smallest
+    /// quitting one runs exactly once, none runs twice.
+    fn assert_quit_contract(name: &str, doall: impl Fn(&Pool, usize, Body<'_>) -> DoallOutcome) {
+        let pool = Pool::new(4);
+        let hits: Vec<AtomicU32> = (0..2000).map(|_| AtomicU32::new(0)).collect();
+        let out = doall(&pool, 2000, &|i, _| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+            if i >= 300 {
+                Step::Quit
+            } else {
+                Step::Continue
+            }
+        });
+        let q = out.quit.expect("loop must quit");
+        assert!(q >= 300, "{name}: quit below the terminator");
+        for i in 0..=q {
+            assert_eq!(
+                hits[i].load(Ordering::Relaxed),
+                1,
+                "{name}: iteration {i} at or below the quit must run exactly once"
+            );
+        }
+        assert!(
+            hits.iter().all(|h| h.load(Ordering::Relaxed) <= 1),
+            "{name}"
+        );
+        assert!(out.max_started > q, "{name}");
+    }
+
+    /// A deadline overrun names the overdue iteration. Every other
+    /// iteration sleeps briefly, so peers are still issuing when the
+    /// watchdog fires and drain at once when it cancels, on any number of
+    /// cores.
+    fn assert_deadline_names_the_overdue_iteration(
+        name: &str,
+        doall: impl Fn(&Pool, usize, Body<'_>) -> DoallOutcome,
+    ) {
+        use crate::pool::Deadline;
+        use std::time::Duration;
+        let pool = Pool::new(4).with_deadline(Deadline::from_millis(25));
+        let out = doall(&pool, 1_000_000, &|i, _| {
+            let stall = if i == 5 { 200_000 } else { 20 };
+            std::thread::sleep(Duration::from_micros(stall));
+            Step::Continue
+        });
+        let to = out.timeout.expect("watchdog verdict must be surfaced");
+        assert_eq!(to.iter, Some(5), "{name}: overdue lane's loop counter");
+        assert!(to.elapsed >= Duration::from_millis(25), "{name}");
+        assert_eq!(out.panic, None, "{name}");
+        assert!(
+            out.executed < 1_000_000,
+            "{name}: cancellation must stop issue well before the range is exhausted"
+        );
+    }
+
+    #[test]
+    fn every_driver_covers_all_iterations_exactly_once() {
+        for (name, d) in drivers() {
+            mark_all(&name, &d);
+        }
+    }
+
+    #[test]
+    fn every_driver_keeps_the_quit_contract() {
+        for (name, d) in drivers() {
+            assert_quit_contract(&name, &d);
+        }
+    }
+
+    #[test]
+    fn every_driver_contains_and_attributes_a_body_panic() {
+        for (name, d) in drivers() {
+            assert_panic_contained(&name, &d);
+        }
+    }
+
+    #[test]
+    fn every_driver_names_the_iteration_that_overran_the_deadline() {
+        for (name, d) in drivers() {
+            assert_deadline_names_the_overdue_iteration(&name, &d);
+        }
     }
 
     #[test]
     fn dynamic_contains_body_panic() {
-        assert_panic_contained(|p, u, b| doall_dynamic(p, u, b));
+        assert_panic_contained("dynamic", |p, u, b| {
+            doall_dynamic(p, u, ChunkPolicy::One, &NoopRecorder, b)
+        });
     }
 
     #[test]
     fn cyclic_contains_body_panic() {
-        assert_panic_contained(|p, u, b| doall_static_cyclic(p, u, b));
-    }
-
-    #[test]
-    fn blocked_contains_body_panic() {
-        assert_panic_contained(|p, u, b| doall_static_blocked(p, u, b));
+        assert_panic_contained("cyclic", |p, u, b| doall_static_cyclic(p, u, b));
     }
 
     #[test]
@@ -814,7 +789,9 @@ mod tests {
             ChunkPolicy::Fixed(16),
             ChunkPolicy::Guided { min: 4 },
         ] {
-            mark_all(|p, u, b| doall_dynamic_chunked(p, u, policy, b));
+            mark_all("chunked", |p, u, b| {
+                doall_dynamic(p, u, policy, &NoopRecorder, b)
+            });
         }
     }
 
@@ -827,7 +804,7 @@ mod tests {
         ] {
             let pool = Pool::new(4);
             let hits: Vec<AtomicU32> = (0..2000).map(|_| AtomicU32::new(0)).collect();
-            let out = doall_dynamic_chunked(&pool, 2000, policy, |i, _| {
+            let out = doall_dynamic(&pool, 2000, policy, &NoopRecorder, |i, _| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
                 if i >= 300 {
                     Step::Quit
@@ -851,14 +828,16 @@ mod tests {
 
     #[test]
     fn chunked_contains_body_panic() {
-        assert_panic_contained(|p, u, b| doall_dynamic_chunked(p, u, ChunkPolicy::Fixed(8), b));
+        assert_panic_contained("chunked", |p, u, b| {
+            doall_dynamic(p, u, ChunkPolicy::Fixed(8), &NoopRecorder, b)
+        });
     }
 
     #[test]
     fn chunked_recorded_run_reports_chunk_grants() {
         let pool = Pool::new(4);
         let rec = wlp_obs::BufferRecorder::new(4);
-        let out = doall_dynamic_chunked_rec(&pool, 1000, ChunkPolicy::Fixed(50), &rec, |_, _| {
+        let out = doall_dynamic(&pool, 1000, ChunkPolicy::Fixed(50), &rec, |_, _| {
             Step::Continue
         });
         assert_eq!(out.executed, 1000);
@@ -893,7 +872,7 @@ mod tests {
     fn one_policy_emits_no_chunk_events() {
         let pool = Pool::new(2);
         let rec = wlp_obs::BufferRecorder::new(2);
-        doall_dynamic_chunked_rec(&pool, 100, ChunkPolicy::One, &rec, |_, _| Step::Continue);
+        doall_dynamic(&pool, 100, ChunkPolicy::One, &rec, |_, _| Step::Continue);
         let trace = rec.finish();
         assert!(
             !trace
@@ -946,7 +925,7 @@ mod tests {
 
     #[test]
     fn worksteal_contains_body_panic() {
-        assert_panic_contained(|p, u, b| doall_worksteal(p, u, 8, b));
+        assert_panic_contained("worksteal", |p, u, b| doall_worksteal(p, u, 8, b));
     }
 
     #[test]
@@ -962,7 +941,7 @@ mod tests {
     fn deadline_overrun_surfaces_timeout_with_the_overdue_iteration() {
         use crate::pool::Deadline;
         let pool = Pool::new(4).with_deadline(Deadline::from_millis(25));
-        let out = doall_dynamic(&pool, 1_000_000, |i, _| {
+        let out = doall_dynamic(&pool, 1_000_000, ChunkPolicy::One, &NoopRecorder, |i, _| {
             if i == 5 {
                 // A stall that never polls anything loop-visible: the
                 // watchdog must cancel issue and blame this iteration.
@@ -984,7 +963,9 @@ mod tests {
     fn deadline_kept_leaves_outcome_clean() {
         use crate::pool::Deadline;
         let pool = Pool::new(4).with_deadline(Deadline::from_millis(5_000));
-        let out = doall_dynamic(&pool, 1_000, |_, _| Step::Continue);
+        let out = doall_dynamic(&pool, 1_000, ChunkPolicy::One, &NoopRecorder, |_, _| {
+            Step::Continue
+        });
         assert_eq!(out.timeout, None);
         assert_eq!(out.executed, 1_000);
     }
@@ -995,7 +976,7 @@ mod tests {
         // fewer than `upper` iterations run.
         let pool = Pool::new(4);
         let ran = AtomicU64::new(0);
-        let out = doall_dynamic(&pool, 1_000_000, |i, _| {
+        let out = doall_dynamic(&pool, 1_000_000, ChunkPolicy::One, &NoopRecorder, |i, _| {
             ran.fetch_add(1, Ordering::Relaxed);
             if i == 10 {
                 panic!("stop the presses");

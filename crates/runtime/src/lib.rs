@@ -10,8 +10,9 @@
 //! `crossbeam` utilities and `parking_lot` locks:
 //!
 //! * [`Pool`] — a fixed-width worker group exposing vpn to each worker.
-//! * [`doall`] — dynamic self-scheduled (ordered-issue), static-cyclic and
-//!   static-blocked DOALL loops with a software `QUIT` protocol.
+//! * [`doall`] — dynamic self-scheduled (ordered-issue, optionally
+//!   chunked), static-cyclic and work-stealing DOALL loops with a software
+//!   `QUIT` protocol, all on one region harness.
 //! * [`scan`] — parallel prefix computations (the Section 3.2 method for
 //!   associative dispatchers), including affine linear recurrences.
 //! * [`reduce`] — parallel folds/reductions (used by the post-execution
@@ -36,6 +37,10 @@
 //! instead of aborting the process — the strategies above restore their
 //! checkpoint and re-execute sequentially.
 //!
+//! Every construct takes its loop body, and where it records, a
+//! [`wlp_obs::Recorder`] (`&NoopRecorder` compiles the probes away), as
+//! ordinary parameters: there is one entry point per construct.
+//!
 //! Robustness governance: [`pool::Deadline`] arms a per-region watchdog
 //! (timeouts surface as [`pool::WorkerTimeout`] instead of hangs), and
 //! [`governor`] turns the stream of per-attempt outcomes into strategy
@@ -57,11 +62,8 @@ pub mod window;
 pub use barrier::CentralBarrier;
 pub use chunk::ChunkPolicy;
 pub use deque::{Steal, StealDeque};
-pub use doacross::{doacross, doacross_grained, doacross_rec, DoacrossOutcome};
-pub use doall::{
-    doall_dynamic, doall_dynamic_chunked, doall_dynamic_chunked_rec, doall_dynamic_rec,
-    doall_static_blocked, doall_static_cyclic, doall_worksteal, DoallOutcome, Step,
-};
+pub use doacross::{doacross, DoacrossOutcome};
+pub use doall::{doall_dynamic, doall_static_cyclic, doall_worksteal, DoallOutcome, Step};
 pub use governor::{FailureCounts, Governor, GovernorPolicy, Transition};
 pub use pool::{
     payload_message, CancelFlag, Deadline, Pool, PoolOutcome, WorkerPanic, WorkerTimeout,
@@ -69,7 +71,8 @@ pub use pool::{
 pub use reduce::{parallel_fold, parallel_min, parallel_min_index};
 pub use scan::{geometric_recurrence_terms, linear_recurrence_terms, parallel_scan_inclusive};
 pub use scheduler::{Lane, RegionScheduler, SchedulerConfig};
-pub use strip::{
-    strip_mined, strip_mined_chunked, strip_mined_chunked_rec, strip_mined_rec, StripOutcome,
-};
-pub use window::{doall_windowed, doall_windowed_rec, WindowController, WindowScheduler};
+pub use strip::{strip_mined, StripOutcome};
+pub use window::{doall_windowed, WindowController, WindowScheduler};
+/// The recorder to pass a construct when nothing is traced: its probes
+/// compile away.
+pub use wlp_obs::NoopRecorder;

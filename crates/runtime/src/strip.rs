@@ -6,12 +6,13 @@
 //! condition fires. The paper warns that the inter-strip synchronization
 //! barriers can significantly reduce the obtainable parallelism — the
 //! `strips_run` count lets the cost model and the ablation benchmarks charge
-//! for exactly that.
+//! for exactly that. Within a strip, iterations are claimed under any
+//! [`ChunkPolicy`]; a chunk never crosses a strip boundary.
 
 use crate::chunk::ChunkPolicy;
-use crate::doall::{doall_dynamic_chunked_rec, DoallOutcome, Step};
+use crate::doall::{doall_dynamic, DoallOutcome, Step};
 use crate::pool::Pool;
-use wlp_obs::{NoopRecorder, Recorder};
+use wlp_obs::Recorder;
 
 /// Result of a strip-mined loop execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,73 +66,23 @@ impl<R: Recorder> Recorder for ShiftedRecorder<'_, R> {
 }
 
 /// Executes `0..upper` in strips of `strip` iterations. Each strip is a
-/// dynamic DOALL; execution stops after the first strip that contains a
-/// QUIT. Iterations beyond the quitting one *within the same strip* may
+/// dynamic DOALL ([`doall_dynamic`] under `policy`, so a chunk never
+/// crosses a strip); execution stops after the first strip that contains
+/// a QUIT. Iterations beyond the quitting one *within the same strip* may
 /// still run (intra-strip overshoot), but no later strip starts — this is
 /// the memory/overshoot bound the paper derives: at most `s × a` stamped
 /// writes, where `a` is writes per iteration.
 ///
-/// # Panics
-/// Panics if `strip == 0`.
-pub fn strip_mined<F>(pool: &Pool, upper: usize, strip: usize, body: F) -> StripOutcome
-where
-    F: Fn(usize, usize) -> Step + Sync,
-{
-    strip_mined_rec(pool, upper, strip, &NoopRecorder, body)
-}
-
-/// [`strip_mined`] with a self-scheduling [`ChunkPolicy`] applied inside
-/// each strip: workers claim chunks of iterations instead of one at a
-/// time, amortizing the shared-counter traffic. The strip boundary (and
-/// with it the memory/overshoot bound) is unchanged — a chunk never
-/// crosses a strip.
+/// Each strip is recorded to `rec` like any dynamic DOALL (claims, chunk
+/// grants, bodies, QUITs, and one closing barrier event per worker per
+/// strip, mirroring the barrier count in `strips_run`). Iteration indices
+/// in recorded events, like those in a reported panic or timeout, are
+/// *global* (the strip offset is applied), so traces line up with the
+/// simulator's. With [`wlp_obs::NoopRecorder`] every probe compiles away.
 ///
 /// # Panics
 /// Panics if `strip == 0`.
-pub fn strip_mined_chunked<F>(
-    pool: &Pool,
-    upper: usize,
-    strip: usize,
-    policy: ChunkPolicy,
-    body: F,
-) -> StripOutcome
-where
-    F: Fn(usize, usize) -> Step + Sync,
-{
-    strip_mined_chunked_rec(pool, upper, strip, policy, &NoopRecorder, body)
-}
-
-/// [`strip_mined`] with observability: each strip is a recorded DOALL
-/// (claims, bodies, QUITs, the closing barrier of every strip — one
-/// barrier event per worker per strip, mirroring the barrier count in
-/// `strips_run`). With [`NoopRecorder`] every probe compiles away.
-///
-/// Iteration indices in recorded events are *global* (the strip offset is
-/// applied before recording), so traces line up with the simulator's.
-///
-/// # Panics
-/// Panics if `strip == 0`.
-pub fn strip_mined_rec<R, F>(
-    pool: &Pool,
-    upper: usize,
-    strip: usize,
-    rec: &R,
-    body: F,
-) -> StripOutcome
-where
-    R: Recorder,
-    F: Fn(usize, usize) -> Step + Sync,
-{
-    strip_mined_chunked_rec(pool, upper, strip, ChunkPolicy::One, rec, body)
-}
-
-/// [`strip_mined_chunked`] with observability; chunk grants appear as
-/// `ChunkClaimed` events with *global* `lo` indices, like every other
-/// recorded iteration index.
-///
-/// # Panics
-/// Panics if `strip == 0`.
-pub fn strip_mined_chunked_rec<R, F>(
+pub fn strip_mined<R, F>(
     pool: &Pool,
     upper: usize,
     strip: usize,
@@ -158,7 +109,7 @@ where
             rec,
             offset: lo as u64,
         };
-        let out = doall_dynamic_chunked_rec(pool, hi - lo, policy, &shifted, |local, vpn| {
+        let out = doall_dynamic(pool, hi - lo, policy, &shifted, |local, vpn| {
             body(lo + local, vpn)
         });
         strips_run += 1;
@@ -201,12 +152,13 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use wlp_obs::NoopRecorder;
 
     #[test]
     fn strips_cover_everything_without_quit() {
         let pool = Pool::new(4);
         let hits: Vec<AtomicU32> = (0..100).map(|_| AtomicU32::new(0)).collect();
-        let out = strip_mined(&pool, 100, 7, |i, _| {
+        let out = strip_mined(&pool, 100, 7, ChunkPolicy::One, &NoopRecorder, |i, _| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             Step::Continue
         });
@@ -219,7 +171,7 @@ mod tests {
     #[test]
     fn quit_stops_after_its_strip() {
         let pool = Pool::new(4);
-        let out = strip_mined(&pool, 1000, 10, |i, _| {
+        let out = strip_mined(&pool, 1000, 10, ChunkPolicy::One, &NoopRecorder, |i, _| {
             if i == 25 {
                 Step::Quit
             } else {
@@ -237,7 +189,9 @@ mod tests {
     #[test]
     fn strip_larger_than_range_is_one_strip() {
         let pool = Pool::new(2);
-        let out = strip_mined(&pool, 5, 100, |_, _| Step::Continue);
+        let out = strip_mined(&pool, 5, 100, ChunkPolicy::One, &NoopRecorder, |_, _| {
+            Step::Continue
+        });
         assert_eq!(out.strips_run, 1);
         assert_eq!(out.outcome.executed, 5);
     }
@@ -246,7 +200,7 @@ mod tests {
     fn global_indices_are_passed_to_body() {
         let pool = Pool::new(3);
         let seen: Vec<AtomicU32> = (0..30).map(|_| AtomicU32::new(0)).collect();
-        strip_mined(&pool, 30, 4, |i, _| {
+        strip_mined(&pool, 30, 4, ChunkPolicy::One, &NoopRecorder, |i, _| {
             seen[i].store(i as u32 + 1, Ordering::Relaxed);
             Step::Continue
         });
@@ -258,7 +212,9 @@ mod tests {
     #[test]
     fn empty_range_runs_zero_strips() {
         let pool = Pool::new(2);
-        let out = strip_mined(&pool, 0, 10, |_, _| Step::Continue);
+        let out = strip_mined(&pool, 0, 10, ChunkPolicy::One, &NoopRecorder, |_, _| {
+            Step::Continue
+        });
         assert_eq!(out.strips_run, 0);
         assert_eq!(out.outcome.executed, 0);
     }
@@ -267,7 +223,9 @@ mod tests {
     #[should_panic(expected = "strip size must be positive")]
     fn zero_strip_panics() {
         let pool = Pool::new(2);
-        let _ = strip_mined(&pool, 10, 0, |_, _| Step::Continue);
+        let _ = strip_mined(&pool, 10, 0, ChunkPolicy::One, &NoopRecorder, |_, _| {
+            Step::Continue
+        });
     }
 
     #[test]
@@ -275,7 +233,7 @@ mod tests {
         let pool = Pool::new(4);
         for policy in [ChunkPolicy::Fixed(4), ChunkPolicy::Guided { min: 2 }] {
             let hits: Vec<AtomicU32> = (0..200).map(|_| AtomicU32::new(0)).collect();
-            let out = strip_mined_chunked(&pool, 200, 25, policy, |i, _| {
+            let out = strip_mined(&pool, 200, 25, policy, &NoopRecorder, |i, _| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
                 if i == 60 {
                     Step::Quit
@@ -304,7 +262,7 @@ mod tests {
     #[test]
     fn panic_stops_after_its_strip_and_is_rebased() {
         let pool = Pool::new(4);
-        let out = strip_mined(&pool, 1000, 10, |i, _| {
+        let out = strip_mined(&pool, 1000, 10, ChunkPolicy::One, &NoopRecorder, |i, _| {
             if i == 25 {
                 panic!("strip fault");
             }

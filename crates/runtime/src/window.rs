@@ -13,11 +13,12 @@
 //! implements that policy: it maps a measured memory usage to a new window
 //! size under a budget.
 
-use crate::doall::{DoallOutcome, FaultCell, Step};
+use crate::doall::{doall_region, DoallOutcome, Step};
 use crate::pool::{CancelFlag, Pool};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
+use wlp_obs::{Event, Recorder};
 
 #[derive(Debug)]
 struct WinState {
@@ -246,19 +247,12 @@ impl WindowController {
 /// [`doall_dynamic`](crate::doall::doall_dynamic) but the span of in-flight
 /// iterations never exceeds `window`. Returns the outcome plus the maximum
 /// span actually observed.
-pub fn doall_windowed<F>(pool: &Pool, upper: usize, window: usize, body: F) -> (DoallOutcome, usize)
-where
-    F: Fn(usize, usize) -> Step + Sync,
-{
-    doall_windowed_rec(pool, upper, window, &wlp_obs::NoopRecorder, body)
-}
-
-/// [`doall_windowed`] with observability: reports the initial window size,
-/// each claim (time blocked on window admission becomes a `LockWait`),
-/// body execution, QUIT broadcast and end-of-loop join to `rec`. With
-/// [`wlp_obs::NoopRecorder`] — which is what [`doall_windowed`] passes —
-/// every probe compiles away.
-pub fn doall_windowed_rec<R, F>(
+///
+/// Reports the initial window size, each claim (time blocked on window
+/// admission becomes a `LockWait`), body execution, QUIT broadcast and
+/// end-of-loop join to `rec`. With [`wlp_obs::NoopRecorder`] every probe
+/// compiles away.
+pub fn doall_windowed<R, F>(
     pool: &Pool,
     upper: usize,
     window: usize,
@@ -266,21 +260,23 @@ pub fn doall_windowed_rec<R, F>(
     body: F,
 ) -> (DoallOutcome, usize)
 where
-    R: wlp_obs::Recorder,
+    R: Recorder,
     F: Fn(usize, usize) -> Step + Sync,
 {
-    use std::time::Instant;
-    use wlp_obs::Event;
+    /// A panicking body never completes its iteration, so the low
+    /// watermark stalls: cancel the window on the way out, waking every
+    /// peer blocked on admission.
+    struct CancelOnUnwind<'a>(&'a WindowScheduler);
+    impl Drop for CancelOnUnwind<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.cancel();
+            }
+        }
+    }
 
     let sched = WindowScheduler::new(upper, window);
-    let executed = std::sync::atomic::AtomicU64::new(0);
-    let max_started = std::sync::atomic::AtomicUsize::new(0);
-    let cancel = CancelFlag::new();
-    let fault = FaultCell::new();
     let watched = pool.deadline().is_some();
-    let cursor: Vec<std::sync::atomic::AtomicUsize> = (0..pool.size())
-        .map(|_| std::sync::atomic::AtomicUsize::new(usize::MAX))
-        .collect();
     if R::ENABLED {
         rec.record(
             0,
@@ -289,103 +285,40 @@ where
             },
         );
     }
-    let pool_out = pool.run_with(&cancel, |vpn| {
-        let mut local_exec = 0u64;
-        let mut local_max = 0usize;
+    let out = doall_region(pool, rec, |lane| {
+        let _wake = CancelOnUnwind(&sched);
         loop {
             let t0 = R::ENABLED.then(Instant::now);
             let claimed = if watched {
-                sched.claim_watched(&cancel)
+                sched.claim_watched(lane.cancel())
             } else {
                 sched.claim()
             };
             if R::ENABLED {
                 let dur = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                rec.record(vpn, Event::LockWait { dur });
-                if let Some(i) = claimed {
-                    rec.record(
-                        vpn,
-                        Event::IterClaimed {
-                            iter: i as u64,
-                            cost: 0,
-                        },
-                    );
-                }
+                lane.record(Event::LockWait { dur });
             }
             let Some(i) = claimed else { break };
-            local_max = local_max.max(i + 1);
-            cursor[vpn].store(i, std::sync::atomic::Ordering::Relaxed);
-            let t1 = R::ENABLED.then(Instant::now);
-            let step = match catch_unwind(AssertUnwindSafe(|| body(i, vpn))) {
-                Ok(step) => step,
-                Err(p) => {
-                    fault.record(vpn, i, p.as_ref());
-                    // wake peers blocked on window admission: the faulted
-                    // iteration will never complete, so the low watermark
-                    // cannot advance past it
-                    sched.cancel();
-                    cancel.cancel();
-                    break;
-                }
-            };
-            local_exec += 1;
-            if R::ENABLED {
-                let cost = t1.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                rec.record(
-                    vpn,
-                    Event::IterExecuted {
-                        iter: i as u64,
-                        cost,
-                    },
-                );
-            }
-            if let Step::Quit = step {
+            if let Step::Quit = lane.run(i, &body) {
                 sched.quit_at(i);
-                if R::ENABLED {
-                    rec.record(vpn, Event::Quit { iter: i as u64 });
-                }
             }
             sched.complete(i);
         }
-        if R::ENABLED {
-            rec.record(vpn, Event::Barrier { cost: 0 });
-        }
-        executed.fetch_add(local_exec, std::sync::atomic::Ordering::Relaxed);
-        max_started.fetch_max(local_max, std::sync::atomic::Ordering::Relaxed);
     });
-    let timeout = pool_out.timeout().cloned().map(|mut t| {
-        if let Some(i) = cursor
-            .get(t.vpn)
-            .map(|c| c.load(std::sync::atomic::Ordering::Relaxed))
-        {
-            if i != usize::MAX {
-                t.iter = Some(i);
-            }
-        }
-        t
-    });
-    (
-        DoallOutcome {
-            quit: sched.quit(),
-            executed: executed.load(std::sync::atomic::Ordering::Relaxed),
-            max_started: max_started.load(std::sync::atomic::Ordering::Relaxed),
-            panic: fault.take().or_else(|| pool_out.into_first_panic()),
-            timeout,
-        },
-        sched.max_span(),
-    )
+    (out, sched.max_span())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use wlp_obs::NoopRecorder;
 
     #[test]
     fn windowed_doall_covers_all_iterations() {
         let pool = Pool::new(4);
         let hits: Vec<AtomicU32> = (0..200).map(|_| AtomicU32::new(0)).collect();
-        let (out, span) = doall_windowed(&pool, 200, 8, |i, _| {
+        let (out, span) = doall_windowed(&pool, 200, 8, &NoopRecorder, |i, _| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             Step::Continue
         });
@@ -397,14 +330,14 @@ mod tests {
     #[test]
     fn window_bound_is_never_violated() {
         let pool = Pool::new(8);
-        let (_, span) = doall_windowed(&pool, 1000, 3, |_, _| Step::Continue);
+        let (_, span) = doall_windowed(&pool, 1000, 3, &NoopRecorder, |_, _| Step::Continue);
         assert!(span <= 3, "span {span}");
     }
 
     #[test]
     fn windowed_quit_stops_issuing() {
         let pool = Pool::new(4);
-        let (out, _) = doall_windowed(&pool, 100_000, 16, |i, _| {
+        let (out, _) = doall_windowed(&pool, 100_000, 16, &NoopRecorder, |i, _| {
             if i >= 40 {
                 Step::Quit
             } else {
@@ -422,7 +355,7 @@ mod tests {
         // only runnable iteration quits; blocked claimers must wake and see
         // the end condition.
         let pool = Pool::new(4);
-        let (out, _) = doall_windowed(&pool, 1000, 1, |i, _| {
+        let (out, _) = doall_windowed(&pool, 1000, 1, &NoopRecorder, |i, _| {
             if i == 5 {
                 Step::Quit
             } else {
@@ -489,7 +422,7 @@ mod tests {
         // The faulted iteration never completes, so the low watermark
         // stalls; blocked claimers must be woken by the cancellation.
         let pool = Pool::new(4);
-        let (out, _) = doall_windowed(&pool, 100_000, 2, |i, _| {
+        let (out, _) = doall_windowed(&pool, 100_000, 2, &NoopRecorder, |i, _| {
             if i == 50 {
                 panic!("window fault");
             }

@@ -143,50 +143,16 @@ impl Default for Overheads {
     }
 }
 
-/// How many iterations a self-scheduling claim grants at once — the
-/// simulator's mirror of the threaded runtime's `ChunkPolicy` (the two
-/// enums are kept structurally identical so an `ExecConfig` can be read
-/// off a real run's configuration).
+/// How many iterations a self-scheduling claim grants at once: the
+/// threaded runtime's own policy, so an `ExecConfig` can be read off a
+/// real run's configuration.
 ///
 /// Chunking amortizes the `t_dispatch` charge over `len` iterations at
 /// the price of a larger in-flight span: under an RV terminator a chunk
 /// that straddles the exit executes (and must undo) every iteration it
-/// already started.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChunkPolicy {
-    /// One iteration per claim: the Alliant's ordered-issue
-    /// self-scheduler. The historical default; traces and makespans are
-    /// bit-identical to the pre-chunking simulator.
-    #[default]
-    One,
-    /// Fixed chunks of `k` iterations (k ≥ 1).
-    Fixed(usize),
-    /// Guided self-scheduling: each claim takes
-    /// `max(min, ceil(remaining / p))` iterations, so chunks shrink as
-    /// the loop drains.
-    Guided {
-        /// Smallest chunk a claim may shrink to (≥ 1).
-        min: usize,
-    },
-}
-
-impl ChunkPolicy {
-    /// Iterations the next claim should take, given `remaining`
-    /// unclaimed iterations and `p` processors. Never exceeds
-    /// `remaining` (when `remaining > 0`) and never returns 0.
-    pub fn grant(&self, remaining: usize, p: usize) -> usize {
-        let want = match *self {
-            ChunkPolicy::One => 1,
-            ChunkPolicy::Fixed(k) => k.max(1),
-            ChunkPolicy::Guided { min } => remaining.div_ceil(p.max(1)).max(min.max(1)),
-        };
-        if remaining == 0 {
-            want
-        } else {
-            want.min(remaining)
-        }
-    }
-}
+/// already started. `ChunkPolicy::One` runs are bit-identical to the
+/// pre-chunking simulator.
+pub use wlp_runtime::ChunkPolicy;
 
 /// Which run-time support machinery the transformed loop carries — the
 /// sources of the paper's `T_b` (before), `T_d` (during) and `T_a` (after)
@@ -227,7 +193,7 @@ pub struct ExecConfig {
     /// traces and makespans bit-identical.
     pub claim_cost: Option<u64>,
     /// DOACROSS grain: iterations per wavefront sync cell — the mirror of
-    /// the runtime's `doacross_grained` and the governor's grain ladder.
+    /// the runtime's `doacross` grain and the governor's grain ladder.
     /// Coarser grain amortizes one dispatch + one sync per `grain`
     /// iterations at the cost of pipeline fill latency. `0` is treated as
     /// `1` (per-iteration sync, the historical behavior).

@@ -15,7 +15,7 @@
 use crate::mcsparse::{best_in_col, column_rows};
 use std::sync::atomic::{AtomicU64, Ordering};
 use wlp_core::induction::InductionOutcome;
-use wlp_runtime::{doall_dynamic, Pool, Step};
+use wlp_runtime::{doall_dynamic, ChunkPolicy, NoopRecorder, Pool, Step};
 use wlp_sim::spec::TerminatorKind;
 use wlp_sim::{ExecConfig, LoopSpec, Overheads};
 use wlp_sparse::{best_in_row, EliminationWork, Pivot};
@@ -85,23 +85,29 @@ pub fn search_parallel(
         (0..p).map(|_| parking_lot::Mutex::new(None)).collect();
     let executed = AtomicU64::new(0);
 
-    let out = doall_dynamic(pool, candidates.len(), |k, vpn| {
-        executed.fetch_add(1, Ordering::Relaxed);
-        if let Some(piv) = eval(candidates[k]) {
-            let sp = StampedPivot {
-                stamp: k,
-                pivot: piv,
-            };
-            let mut local = locals[vpn].lock();
-            if local.as_ref().is_none_or(|b| better(&sp, b)) {
-                *local = Some(sp);
+    let out = doall_dynamic(
+        pool,
+        candidates.len(),
+        ChunkPolicy::One,
+        &NoopRecorder,
+        |k, vpn| {
+            executed.fetch_add(1, Ordering::Relaxed);
+            if let Some(piv) = eval(candidates[k]) {
+                let sp = StampedPivot {
+                    stamp: k,
+                    pivot: piv,
+                };
+                let mut local = locals[vpn].lock();
+                if local.as_ref().is_none_or(|b| better(&sp, b)) {
+                    *local = Some(sp);
+                }
+                if piv.cost == 0 {
+                    return Step::Quit;
+                }
             }
-            if piv.cost == 0 {
-                return Step::Quit;
-            }
-        }
-        Step::Continue
-    });
+            Step::Continue
+        },
+    );
 
     // time-stamp-ordered minimum reduction over the privatized pivots
     let best = locals.into_iter().filter_map(|m| m.into_inner()).fold(

@@ -10,7 +10,7 @@
 //! Table 2 row with speedups 7.0/6.8/4.8/5.7 across the four inputs.
 
 use parking_lot::Mutex;
-use wlp_runtime::{doall_dynamic, Pool, Step};
+use wlp_runtime::{doall_dynamic, ChunkPolicy, NoopRecorder, Pool, Step};
 use wlp_sim::{LoopSpec, Overheads};
 use wlp_sparse::{best_in_row, EliminationWork, Pivot};
 
@@ -122,18 +122,24 @@ pub fn dfact_doany(
     let colmap = column_rows(work);
     let cands: Vec<Candidate> = candidates(work.n()).collect();
     let found: Mutex<Option<Pivot>> = Mutex::new(None);
-    let out = doall_dynamic(pool, cands.len(), |k, _| {
-        if let Some(p) = evaluate_candidate(work, &colmap, cands[k], u) {
-            if acceptable(&p, cost_bound) {
-                let mut f = found.lock();
-                if f.is_none() {
-                    *f = Some(p);
+    let out = doall_dynamic(
+        pool,
+        cands.len(),
+        ChunkPolicy::One,
+        &NoopRecorder,
+        |k, _| {
+            if let Some(p) = evaluate_candidate(work, &colmap, cands[k], u) {
+                if acceptable(&p, cost_bound) {
+                    let mut f = found.lock();
+                    if f.is_none() {
+                        *f = Some(p);
+                    }
+                    return Step::Quit;
                 }
-                return Step::Quit;
             }
-        }
-        Step::Continue
-    });
+            Step::Continue
+        },
+    );
     (found.into_inner(), out.executed)
 }
 

@@ -251,7 +251,9 @@ mod tests {
         let out = wlp_core::speculative_while(
             &wlp_runtime::Pool::new(2),
             n_us,
+            wlp_runtime::ChunkPolicy::One,
             &arr,
+            &wlp_runtime::NoopRecorder,
             |_i, _acc| false,
             |i, acc| {
                 let idx = (i * 7 + 3) % n_us;

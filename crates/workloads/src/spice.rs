@@ -13,11 +13,11 @@ use crossbeam::atomic::AtomicCell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wlp_core::general::{
-    general1, general2, general3, general3_recovering_rec, GeneralConfig, GeneralOutcome,
+    general1, general2, general3, general3_recovering, GeneralConfig, GeneralOutcome,
 };
 use wlp_fault::FaultPlan;
 use wlp_list::ListArena;
-use wlp_obs::Recorder;
+use wlp_obs::{NoopRecorder, Recorder};
 use wlp_runtime::{Pool, Step};
 use wlp_sim::{LoopSpec, Overheads};
 
@@ -107,12 +107,13 @@ pub fn load_parallel(
     let body = |_i: usize, node: wlp_list::NodeId| {
         let dev = &list[node];
         out[dev.id].store(evaluate(dev, dt));
+        Step::Continue
     };
     let cfg = GeneralConfig::default();
     let outcome = match method {
-        Method::General1 => general1(pool, list, cfg, body),
+        Method::General1 => general1(pool, list, cfg, &NoopRecorder, body),
         Method::General2 => general2(pool, list, cfg, body),
-        Method::General3 => general3(pool, list, cfg, body),
+        Method::General3 => general3(pool, list, cfg, &NoopRecorder, body),
     };
     (out.into_iter().map(|c| c.load()).collect(), outcome)
 }
@@ -135,7 +136,7 @@ pub fn load_parallel_recovering<R: Recorder>(
     let out: Vec<AtomicCell<Stamp>> = (0..list.len())
         .map(|_| AtomicCell::new(Stamp { geq: 0.0, ieq: 0.0 }))
         .collect();
-    let outcome = general3_recovering_rec(pool, list, GeneralConfig::default(), rec, |i, node| {
+    let outcome = general3_recovering(pool, list, GeneralConfig::default(), rec, |i, node| {
         let _ = plan.inject(i, 0);
         let dev = &list[node];
         out[dev.id].store(evaluate(dev, dt));
@@ -315,12 +316,13 @@ pub fn load_netlist_parallel(
     let body = |_i: usize, node: wlp_list::NodeId| {
         let dev = &list[node];
         out[dev.id()].store(evaluate_device(dev, dt));
+        Step::Continue
     };
     let cfg = GeneralConfig::default();
     let outcome = match method {
-        Method::General1 => general1(pool, list, cfg, body),
+        Method::General1 => general1(pool, list, cfg, &NoopRecorder, body),
         Method::General2 => general2(pool, list, cfg, body),
-        Method::General3 => general3(pool, list, cfg, body),
+        Method::General3 => general3(pool, list, cfg, &NoopRecorder, body),
     };
     (out.into_iter().map(|c| c.load()).collect(), outcome)
 }

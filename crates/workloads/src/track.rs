@@ -15,7 +15,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use wlp_core::induction::InductionOutcome;
 use wlp_core::speculate::{speculative_while, SpecOutcome, SpeculativeArray};
-use wlp_runtime::Pool;
+use wlp_runtime::{ChunkPolicy, NoopRecorder, Pool};
 use wlp_sim::spec::TerminatorKind;
 use wlp_sim::{ExecConfig, LoopSpec, Overheads};
 
@@ -88,7 +88,9 @@ impl TrackInstance {
         let out = speculative_while(
             pool,
             self.meas.len(),
+            ChunkPolicy::One,
             &arr,
+            &NoopRecorder,
             |i, a| {
                 // RV terminator: reads the track point and filters — the
                 // condition depends on values the loop computes
@@ -117,6 +119,7 @@ impl TrackInstance {
         wlp_core::induction::induction2(
             pool,
             self.meas.len(),
+            &NoopRecorder,
             |i| filter(state[self.idx[i]].load(), self.meas[i]).abs() > self.limit,
             |i, _| {
                 let e = self.idx[i];

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use wlp::core::general::{general1, general3, GeneralConfig};
 use wlp::list::ListArena;
-use wlp::runtime::Pool;
+use wlp::runtime::{NoopRecorder, Pool, Step};
 
 fn main() {
     // A linked list whose nodes are scattered in memory (as heap-allocated
@@ -31,16 +31,17 @@ fn main() {
                 .wrapping_add(1442695040888963407);
         }
         out[v as usize].store(acc, Ordering::Relaxed);
+        Step::Continue
     };
 
     let pool = Pool::new(8);
 
     let t0 = std::time::Instant::now();
-    let g3 = general3(&pool, &list, GeneralConfig::default(), body);
+    let g3 = general3(&pool, &list, GeneralConfig::default(), &NoopRecorder, body);
     let t_g3 = t0.elapsed();
 
     let t0 = std::time::Instant::now();
-    let g1 = general1(&pool, &list, GeneralConfig::default(), body);
+    let g1 = general1(&pool, &list, GeneralConfig::default(), &NoopRecorder, body);
     let t_g1 = t0.elapsed();
 
     println!(

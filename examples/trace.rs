@@ -14,7 +14,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use wlp::core::general::{general3_until_rec, GeneralConfig};
+use wlp::core::general::{general3, GeneralConfig};
 use wlp::list::ListArena;
 use wlp::obs::{chrome_trace, BufferRecorder, ProfileReport, Trace};
 use wlp::runtime::{Pool, Step};
@@ -35,7 +35,7 @@ fn main() {
     let sink: Vec<AtomicU64> = (0..N).map(|_| AtomicU64::new(0)).collect();
     let pool = Pool::new(P);
     let rec = BufferRecorder::new(P);
-    general3_until_rec(&pool, &list, GeneralConfig::default(), &rec, |i, node| {
+    general3(&pool, &list, GeneralConfig::default(), &rec, |i, node| {
         sink[i].store(list[node].wrapping_mul(3), Ordering::Relaxed);
         Step::Continue
     });

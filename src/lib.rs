@@ -36,7 +36,7 @@
 //! ```
 //! use wlp::core::{general::{self, GeneralConfig}};
 //! use wlp::list::ListArena;
-//! use wlp::runtime::Pool;
+//! use wlp::runtime::{NoopRecorder, Pool, Step};
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //!
 //! // A WHILE loop traversing a linked list (Figure 1(b) of the paper):
@@ -46,8 +46,10 @@
 //! let list = ListArena::from_values_shuffled(0u64..1000, 42);
 //! let out: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
 //! let pool = Pool::new(4);
-//! let result = general::general3(&pool, &list, GeneralConfig::default(), |i, node| {
+//! let cfg = GeneralConfig::default();
+//! let result = general::general3(&pool, &list, cfg, &NoopRecorder, |i, node| {
 //!     out[i].store(list[node] * 2, Ordering::Relaxed);
+//!     Step::Continue
 //! });
 //! assert_eq!(result.iterations, 1000);
 //! assert_eq!(out[7].load(Ordering::Relaxed), 14);

@@ -8,7 +8,7 @@ use wlp::core::taxonomy::TerminatorClass;
 use wlp::ir::ir::examples;
 use wlp::ir::{plan, StrategyKind};
 use wlp::list::ListArena;
-use wlp::runtime::Pool;
+use wlp::runtime::{ChunkPolicy, NoopRecorder, Pool, Step};
 
 #[test]
 fn planned_general3_executes_list_loop_correctly() {
@@ -23,9 +23,16 @@ fn planned_general3_executes_list_loop_correctly() {
     for workers in [1, 2, 4, 8] {
         let pool = Pool::new(workers);
         let total = AtomicU64::new(0);
-        let out = general3(&pool, &list, GeneralConfig::default(), |_i, node| {
-            total.fetch_add(list[node] * 3, Ordering::Relaxed);
-        });
+        let out = general3(
+            &pool,
+            &list,
+            GeneralConfig::default(),
+            &NoopRecorder,
+            |_i, node| {
+                total.fetch_add(list[node] * 3, Ordering::Relaxed);
+                Step::Continue
+            },
+        );
         assert_eq!(out.iterations, 10_000);
         assert_eq!(total.load(Ordering::Relaxed), expect, "p = {workers}");
     }
@@ -48,7 +55,9 @@ fn planned_speculation_executes_track_loop_correctly() {
     let out = speculative_while(
         &pool,
         n,
+        ChunkPolicy::One,
         &arr,
+        &NoopRecorder,
         |i, a| a.read(idx[i]) < 0.0 || i >= 2500,
         |i, a| {
             let v = a.read(idx[i]);
@@ -77,7 +86,9 @@ fn provable_recurrence_is_planned_sequential_and_stays_correct() {
     let out = speculative_while(
         &pool,
         n - 1,
+        ChunkPolicy::One,
         &arr,
+        &NoopRecorder,
         |_, _| false,
         |i, a| {
             let s = a.read(i) + a.read(i + 1);

@@ -12,12 +12,12 @@
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use wlp::core::general::{general1, general2, general3, general3_recovering, GeneralConfig};
-use wlp::core::speculate::{speculative_while_rec, SpeculativeArray};
+use wlp::core::speculate::{speculative_while, SpeculativeArray};
 use wlp::core::{run_with_recovery, ParallelAttempt, VersionedArray};
 use wlp::fault::{corrupt_list_cycle, FaultPlan, PANIC_MESSAGE_PREFIX};
 use wlp::list::ListArena;
 use wlp::obs::{BufferRecorder, NoopRecorder, ProfileReport};
-use wlp::runtime::{doacross, doall_dynamic, doall_windowed, strip_mined, Pool, Step};
+use wlp::runtime::{doacross, doall_dynamic, doall_windowed, strip_mined, ChunkPolicy, Pool, Step};
 
 const N: usize = 256;
 
@@ -73,7 +73,7 @@ fn check_recovery(
 #[test]
 fn doall_panic_restores_and_reexecutes() {
     check_recovery("doall", 100, |plan, arr, pool| {
-        doall_dynamic(pool, N, |i, vpn| {
+        doall_dynamic(pool, N, ChunkPolicy::One, &NoopRecorder, |i, vpn| {
             let _ = plan.inject(i, vpn);
             arr.write(i, i as i64 * 3 + 1, i);
             Step::Continue
@@ -85,7 +85,7 @@ fn doall_panic_restores_and_reexecutes() {
 #[test]
 fn strip_panic_restores_and_reexecutes() {
     check_recovery("strip", 130, |plan, arr, pool| {
-        strip_mined(pool, N, 32, |i, vpn| {
+        strip_mined(pool, N, 32, ChunkPolicy::One, &NoopRecorder, |i, vpn| {
             let _ = plan.inject(i, vpn);
             arr.write(i, i as i64 * 3 + 1, i);
             Step::Continue
@@ -97,7 +97,7 @@ fn strip_panic_restores_and_reexecutes() {
 #[test]
 fn window_panic_restores_and_reexecutes() {
     check_recovery("window", 70, |plan, arr, pool| {
-        doall_windowed(pool, N, 16, |i, vpn| {
+        doall_windowed(pool, N, 16, &NoopRecorder, |i, vpn| {
             let _ = plan.inject(i, vpn);
             arr.write(i, i as i64 * 3 + 1, i);
             Step::Continue
@@ -110,7 +110,7 @@ fn window_panic_restores_and_reexecutes() {
 #[test]
 fn doacross_panic_restores_and_reexecutes() {
     check_recovery("doacross", 200, |plan, arr, pool| {
-        doacross(pool, N, 2, |i, s| {
+        doacross(pool, N, 2, 1, &NoopRecorder, |i, s| {
             if s == 1 {
                 let _ = plan.inject(i, 0);
             } else {
@@ -129,9 +129,29 @@ fn cyclic_list_diverges_within_budget_in_every_general_method() {
     let pool = Pool::new(4);
     let budget = (n as u64 + 1) * 4; // acceptance bound: f(len) steps total
     let runs: [&dyn Fn() -> wlp::core::general::GeneralOutcome; 3] = [
-        &|| general1(&pool, &list, GeneralConfig::default(), |_, _| {}),
-        &|| general2(&pool, &list, GeneralConfig::default(), |_, _| {}),
-        &|| general3(&pool, &list, GeneralConfig::default(), |_, _| {}),
+        &|| {
+            general1(
+                &pool,
+                &list,
+                GeneralConfig::default(),
+                &NoopRecorder,
+                |_, _| Step::Continue,
+            )
+        },
+        &|| {
+            general2(&pool, &list, GeneralConfig::default(), |_, _| {
+                Step::Continue
+            })
+        },
+        &|| {
+            general3(
+                &pool,
+                &list,
+                GeneralConfig::default(),
+                &NoopRecorder,
+                |_, _| Step::Continue,
+            )
+        },
     ];
     for (m, run) in runs.iter().enumerate() {
         let out = run();
@@ -154,9 +174,10 @@ fn speculative_driver_contains_panic_and_falls_back() {
     let arr = SpeculativeArray::new(vec![1i64; n]);
     let plan = FaultPlan::panic_at(60);
     let rec = BufferRecorder::new(4);
-    let out = speculative_while_rec(
+    let out = speculative_while(
         &Pool::new(4),
         n,
+        ChunkPolicy::One,
         &arr,
         &rec,
         |_, _| false,
@@ -187,7 +208,7 @@ proptest! {
         let plan = FaultPlan::panic_at(k);
         let pool = Pool::new(4);
         let out = run_with_recovery(&arr, &NoopRecorder, || {
-            doall_dynamic(&pool, N, |i, vpn| {
+            doall_dynamic(&pool, N, ChunkPolicy::One, &NoopRecorder, |i, vpn| {
                 let _ = plan.inject(i, vpn);
                 arr.write(i, i as i64 * 3 + 1, i);
                 Step::Continue
@@ -205,7 +226,7 @@ proptest! {
         let plan = FaultPlan::panic_at(k);
         let pool = Pool::new(4);
         let out = run_with_recovery(&arr, &NoopRecorder, || {
-            strip_mined(&pool, N, strip, |i, vpn| {
+            strip_mined(&pool, N, strip, ChunkPolicy::One, &NoopRecorder, |i, vpn| {
                 let _ = plan.inject(i, vpn);
                 arr.write(i, i as i64 * 3 + 1, i);
                 Step::Continue
@@ -223,7 +244,7 @@ proptest! {
         let plan = FaultPlan::panic_at(k);
         let pool = Pool::new(4);
         let out = run_with_recovery(&arr, &NoopRecorder, || {
-            doall_windowed(&pool, N, window, |i, vpn| {
+            doall_windowed(&pool, N, window, &NoopRecorder, |i, vpn| {
                 let _ = plan.inject(i, vpn);
                 arr.write(i, i as i64 * 3 + 1, i);
                 Step::Continue
@@ -242,7 +263,7 @@ proptest! {
         let plan = FaultPlan::panic_at(k);
         let pool = Pool::new(4);
         let out = run_with_recovery(&arr, &NoopRecorder, || {
-            doacross(&pool, N, 3, |i, s| {
+            doacross(&pool, N, 3, 1, &NoopRecorder, |i, s| {
                 if s == stage {
                     let _ = plan.inject(i, 0);
                 }
@@ -265,7 +286,7 @@ proptest! {
         let list = ListArena::from_values_shuffled(0..n as u32, seed);
         let plan = FaultPlan::panic_at(k);
         let slots: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let out = general3_recovering(&Pool::new(4), &list, GeneralConfig::default(), |i, node| {
+        let out = general3_recovering(&Pool::new(4), &list, GeneralConfig::default(), &NoopRecorder, |i, node| {
             let _ = plan.inject(i, 0);
             // idempotent body: each logical position owns one slot
             slots[list[node] as usize].store(i as u64 + 1, Ordering::Relaxed);

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use wlp::pd::{oracle_verdict, Access, Shadow};
-use wlp::runtime::{doall_dynamic, Pool, Steal, StealDeque, Step};
+use wlp::runtime::{doall_dynamic, ChunkPolicy, NoopRecorder, Pool, Steal, StealDeque, Step};
 
 /// Every value pushed into a deque hammered by concurrent stealers is
 /// taken exactly once, across an arbitrary owner script of pushes and
@@ -137,7 +137,7 @@ proptest! {
         let sh = Shadow::new(m);
         let pool = Pool::new(4);
         let total: usize = iters.iter().map(|v| v.len()).sum();
-        let out = doall_dynamic(&pool, n_iters, |i, _| {
+        let out = doall_dynamic(&pool, n_iters, ChunkPolicy::One, &NoopRecorder, |i, _| {
             let mut marker = sh.iteration(i);
             for acc in &iters[i] {
                 match *acc {
@@ -216,7 +216,7 @@ fn dense_single_element_marking_matches_oracle() {
         .collect();
     let sh = Shadow::new(1);
     let pool = Pool::new(4);
-    let out = doall_dynamic(&pool, n, |i, _| {
+    let out = doall_dynamic(&pool, n, ChunkPolicy::One, &NoopRecorder, |i, _| {
         let mut marker = sh.iteration(i);
         marker.mark_read(0);
         marker.mark_write(0);

@@ -10,8 +10,7 @@ use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Duration;
 use wlp::runtime::{
-    doall_dynamic, doall_dynamic_chunked, strip_mined_chunked, CancelFlag, ChunkPolicy, Deadline,
-    Pool, Step,
+    doall_dynamic, strip_mined, CancelFlag, ChunkPolicy, Deadline, NoopRecorder, Pool, Step,
 };
 
 /// Runs one pool region and returns each vpn's host thread id.
@@ -83,7 +82,7 @@ fn resident_worker_panic_leaves_the_pool_reusable() {
     // worker's lane restaffed or re-parked, but never wedged.
     let n = 500;
     let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let out = doall_dynamic(&pool, n, |i, _| {
+    let out = doall_dynamic(&pool, n, ChunkPolicy::One, &NoopRecorder, |i, _| {
         hits[i].fetch_add(1, Ordering::Relaxed);
         Step::Continue
     });
@@ -134,7 +133,7 @@ fn timed_out_region_leaves_the_resident_pool_reusable() {
     );
     let n = 500;
     let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let out = doall_dynamic(&pool, n, |i, _| {
+    let out = doall_dynamic(&pool, n, ChunkPolicy::One, &NoopRecorder, |i, _| {
         hits[i].fetch_add(1, Ordering::Relaxed);
         Step::Continue
     });
@@ -166,7 +165,7 @@ proptest! {
         let quit = quit_at.filter(|&q| q < n);
 
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let out = doall_dynamic_chunked(&pool, n, policy, |i, _| {
+        let out = doall_dynamic(&pool, n, policy, &NoopRecorder, |i, _| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             if Some(i) == quit { Step::Quit } else { Step::Continue }
         });
@@ -203,7 +202,7 @@ proptest! {
         let pool = Pool::new(3);
         let quit = quit_at.filter(|&q| q < n);
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let out = strip_mined_chunked(&pool, n, strip, ChunkPolicy::Fixed(k), |i, _| {
+        let out = strip_mined(&pool, n, strip, ChunkPolicy::Fixed(k), &NoopRecorder, |i, _| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             if Some(i) == quit { Step::Quit } else { Step::Continue }
         });

@@ -11,12 +11,12 @@
 //! simulator (cycle traces).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use wlp::core::general::{general3_until_rec, GeneralConfig};
-use wlp::core::induction::induction1_rec;
-use wlp::core::speculate::{speculative_while_rec, SpeculativeArray};
+use wlp::core::general::{general3, GeneralConfig};
+use wlp::core::induction::induction1;
+use wlp::core::speculate::{speculative_while, SpeculativeArray};
 use wlp::list::ListArena;
 use wlp::obs::{BufferRecorder, ProfileReport, Trace};
-use wlp::runtime::{Pool, Step};
+use wlp::runtime::{ChunkPolicy, Pool, Step};
 use wlp::sim::spec::TerminatorKind;
 use wlp::sim::{
     sim_general3_traced, sim_induction_doall_traced, ExecConfig, LoopSpec, Overheads, Schedule,
@@ -36,7 +36,7 @@ fn threaded_induction1_conserves() {
     let pool = Pool::new(P);
     let work: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
     let rec = BufferRecorder::new(P);
-    let out = induction1_rec(
+    let out = induction1(
         &pool,
         1000,
         &rec,
@@ -60,7 +60,7 @@ fn threaded_general3_conserves() {
     let pool = Pool::new(P);
     let list = ListArena::from_values_shuffled(0u64..800, 11);
     let rec = BufferRecorder::new(P);
-    let out = general3_until_rec(&pool, &list, GeneralConfig::default(), &rec, |i, _| {
+    let out = general3(&pool, &list, GeneralConfig::default(), &rec, |i, _| {
         if i >= 500 {
             Step::Quit
         } else {
@@ -80,7 +80,15 @@ fn threaded_speculation_conserves_on_commit_and_abort() {
     // commit with overshoot: exit at 80 of 600
     let arr = SpeculativeArray::new(vec![0i64; 600]);
     let rec = BufferRecorder::new(P);
-    speculative_while_rec(&pool, 600, &arr, &rec, |i, _| i == 80, |i, a| a.write(i, 1));
+    speculative_while(
+        &pool,
+        600,
+        ChunkPolicy::One,
+        &arr,
+        &rec,
+        |i, _| i == 80,
+        |i, a| a.write(i, 1),
+    );
     let r = checked(&rec.finish());
     assert_eq!(r.spec_commits, 1);
     assert_eq!(r.committed, 80);
@@ -94,9 +102,10 @@ fn threaded_speculation_conserves_on_commit_and_abort() {
     let n = 64usize;
     let arr = SpeculativeArray::new(vec![1i64; n + 1]);
     let rec = BufferRecorder::new(P);
-    speculative_while_rec(
+    speculative_while(
         &pool,
         n,
+        ChunkPolicy::One,
         &arr,
         &rec,
         |i, _| i >= n,

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use wlp::core::speculate::{speculative_while, SpeculativeArray};
-use wlp::runtime::Pool;
+use wlp::runtime::{ChunkPolicy, NoopRecorder, Pool};
 
 /// A tiny interpreted loop body: each iteration performs up to 4 accesses
 /// drawn from this alphabet, then possibly triggers the RV exit.
@@ -58,7 +58,9 @@ fn run_speculative(
     let out = speculative_while(
         &pool,
         prog.len(),
+        ChunkPolicy::One,
         &arr,
+        &NoopRecorder,
         |i, _| exit_at == Some(i),
         |i, a| {
             let mut acc = 0i64;
@@ -128,11 +130,7 @@ proptest! {
         let arr = SpeculativeArray::new(vec![0i64; 6]);
         let pool = Pool::new(workers);
         let armed = AtomicBool::new(true);
-        let out = speculative_while(
-            &pool,
-            prog.len(),
-            &arr,
-            |_, _| false,
+        let out = speculative_while(&pool, prog.len(), ChunkPolicy::One, &arr, &NoopRecorder, |_, _| false,
             |i, a| {
                 if i == panic_at && armed.swap(false, Ordering::SeqCst) {
                     panic!("injected fault at {i}");

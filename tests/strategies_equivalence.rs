@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use wlp::core::constructs::{run_twice_while, while_doall};
 use wlp::core::induction::{induction1, induction2, induction2_static};
 use wlp::list::ListArena;
-use wlp::runtime::{doall_windowed, strip_mined, Pool, Step};
+use wlp::runtime::{doall_windowed, strip_mined, ChunkPolicy, NoopRecorder, Pool, Step};
 
 /// The sequential reference: which iterations run their bodies, and where
 /// the loop exits, for `while !(i ∈ exits) { body(i) }` over `0..n`.
@@ -40,7 +40,7 @@ proptest! {
 
         // Induction-1: per-processor minima + reduction
         let hits = body_hits(n);
-        let o1 = induction1(&pool, n, term, |i, _| { hits[i].fetch_add(1, Ordering::Relaxed); });
+        let o1 = induction1(&pool, n, &NoopRecorder, term, |i, _| { hits[i].fetch_add(1, Ordering::Relaxed); });
         prop_assert_eq!(o1.last_valid, expect_exit, "induction1 exit");
         for i in 0..n {
             // Induction-1 may overshoot (bodies past LI on processors that
@@ -52,7 +52,7 @@ proptest! {
 
         // Induction-2 (QUIT): bodies are exactly the valid iterations
         let hits = body_hits(n);
-        let o2 = induction2(&pool, n, term, |i, _| { hits[i].fetch_add(1, Ordering::Relaxed); });
+        let o2 = induction2(&pool, n, &NoopRecorder, term, |i, _| { hits[i].fetch_add(1, Ordering::Relaxed); });
         prop_assert_eq!(o2.last_valid, expect_exit, "induction2 exit");
         for i in 0..n {
             let h = hits[i].load(Ordering::Relaxed);
@@ -97,8 +97,8 @@ proptest! {
         let pool = Pool::new(workers);
         let body = |i: usize, _vpn: usize| if i == exit { Step::Quit } else { Step::Continue };
 
-        let s = strip_mined(&pool, n, strip, body);
-        let w = doall_windowed(&pool, n, window, body).0;
+        let s = strip_mined(&pool, n, strip, ChunkPolicy::One, &NoopRecorder, body);
+        let w = doall_windowed(&pool, n, window, &NoopRecorder, body).0;
         let expect = (exit < n).then_some(exit);
         prop_assert_eq!(s.outcome.quit, expect, "strip-mined quit");
         prop_assert_eq!(w.quit, expect, "windowed quit");
@@ -119,7 +119,7 @@ proptest! {
         workers in 1usize..5,
         seed in any::<u64>(),
     ) {
-        use wlp::core::general::{general1_until, general2_until, general3_until, GeneralConfig};
+        use wlp::core::general::{general1, general2, general3, GeneralConfig};
         let list = ListArena::from_values_shuffled(0..n, seed);
         let pool = Pool::new(workers);
         let cfg = GeneralConfig::default();
@@ -127,13 +127,13 @@ proptest! {
             if i == exit { Step::Quit } else { Step::Continue }
         };
         let expect = (exit < n).then_some(exit);
-        let g1 = general1_until(&pool, &list, cfg, term_body);
-        let g3 = general3_until(&pool, &list, cfg, term_body);
+        let g1 = general1(&pool, &list, cfg, &NoopRecorder, term_body);
+        let g3 = general3(&pool, &list, cfg, &NoopRecorder, term_body);
         prop_assert_eq!(g1.quit, expect, "general1 quit");
         prop_assert_eq!(g3.quit, expect, "general3 quit");
         // static assignment: the quitting processor's own first i ≥ exit…
         // here the exit is a single iteration, so the witness is exact too
-        let g2 = general2_until(&pool, &list, cfg, term_body);
+        let g2 = general2(&pool, &list, cfg, term_body);
         prop_assert_eq!(g2.quit, expect, "general2 quit");
     }
 }
